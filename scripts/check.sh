@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 check: the full test suite plus an EXP-ST smoke run, so
-# planner/store regressions fail fast with the experiment's own claims
+# Tier-1 check: the full test suite, the perfbench self-test and an
+# EXP-ST smoke run, so planner/store regressions fail fast with the
+# experiment's own claims
 # (index paths beat scans, planned joins beat materializing hash_join,
 # warm plan cache beats cold planning, group commit beats per-commit
 # fsync, snapshot readers stay untorn, crash recovery matches the
@@ -19,6 +20,12 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 python scripts/lint_gate.py
 
 python -m pytest -x -q
+# benchmark self-test: reduced untraced and traced runs of both
+# perfbench workloads.  The tracer patches strategy, quality-board and
+# store entry points by name and the checks read the project runtime,
+# so a renamed entry point or a broken tally fails here, not only when
+# the benchmark runs.
+python3 perfbench/selftest.py
 # EXP-ST smoke; store_ops.run() ends with Database.verify(), which
 # cross-checks indexes, maintained counters, and plan-cache generations.
 # The result JSON is saved so CI can publish it as a bench artifact.

@@ -22,7 +22,11 @@ __all__ = ["AllocationContext", "Strategy"]
 
 @dataclass
 class AllocationContext:
-    """Everything a strategy may consult when choosing resources."""
+    """Everything a strategy may consult when choosing resources.
+
+    ``eligible`` is the owner's live set (engine or project runtime),
+    passed without a copy: strategies read it and never mutate it.
+    """
 
     corpus: Corpus
     board: QualityBoard
@@ -67,12 +71,17 @@ class Strategy:
         """Forget internal state (heaps, phase counters) between runs."""
 
     def _require_eligible(self, context: AllocationContext) -> list[int]:
-        ids = context.eligible_ids()
-        if not ids:
+        """The eligible ids, sorted (O(m log m)); raises when there are none."""
+        return sorted(self._eligible_set(context))
+
+    def _eligible_set(self, context: AllocationContext) -> set[int]:
+        """The context's eligible set itself, neither copied nor sorted;
+        raises when it is empty."""
+        if not context.eligible:
             raise StrategyError(
                 f"strategy {self.name!r}: no eligible resources to choose from"
             )
-        return ids
+        return context.eligible
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"

@@ -7,8 +7,6 @@ Ties break by resource id for determinism.
 
 from __future__ import annotations
 
-import heapq
-
 from .base import AllocationContext, Strategy
 
 __all__ = ["FewestPostsFirst"]
@@ -20,11 +18,7 @@ class FewestPostsFirst(Strategy):
     name = "fp"
 
     def choose(self, context: AllocationContext, count: int) -> list[int]:
-        ids = self._require_eligible(context)
-        # nsmallest over (post count, id) is O(m log count) per round and
-        # naturally spreads a batch over distinct resources.
-        ranked = heapq.nsmallest(
-            count,
-            ((context.post_count(resource_id), resource_id) for resource_id in ids),
-        )
-        return [resource_id for _posts, resource_id in ranked]
+        eligible = self._eligible_set(context)
+        # a prefix walk of the board's (n_posts, id) ranking; a batch
+        # naturally spreads over distinct resources
+        return context.board.fewest_posts_first(eligible, count)

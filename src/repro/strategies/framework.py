@@ -180,7 +180,7 @@ class AllocationEngine:
             corpus=self.corpus,
             board=self.board,
             rng=self._rng,
-            eligible=set(self._eligible),
+            eligible=self._eligible,
             budget_total=self._budget_total,
             budget_spent=self._budget_spent,
         )

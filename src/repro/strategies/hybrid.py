@@ -55,10 +55,9 @@ class HybridFpMu(Strategy):
             if context.budget_total <= 0:
                 return True
             return context.budget_spent >= self.budget_fraction * context.budget_total
-        return all(
-            context.post_count(resource_id) >= self.min_posts
-            for resource_id in context.eligible
-        )
+        # the FP ranking's first eligible resource has the fewest posts
+        fewest = context.board.fewest_posts_first(context.eligible, 1)
+        return not fewest or context.post_count(fewest[0]) >= self.min_posts
 
     def choose(self, context: AllocationContext, count: int) -> list[int]:
         if not self._switched and self._should_switch(context):

@@ -7,7 +7,9 @@ moving, i.e. where a post buys the most stabilization.
 Resources with fewer than the estimator's minimum posts score quality 0
 (maximal instability), so MU bootstraps them with a couple of posts
 before their instability becomes measurable; ties break toward fewer
-posts, then lower id (see ``QualityBoard.most_unstable``).
+posts, then lower id.  The ranking itself is maintained by the quality
+board (``QualityBoard.most_unstable_first``), which moves one key per
+approved post instead of re-sorting every resource per task.
 """
 
 from __future__ import annotations
@@ -23,15 +25,5 @@ class MostUnstableFirst(Strategy):
     name = "mu"
 
     def choose(self, context: AllocationContext, count: int) -> list[int]:
-        ids = self._require_eligible(context)
-        eligible = set(ids)
-        scored = [
-            (
-                -context.board.instability_of(resource_id),
-                context.post_count(resource_id),
-                resource_id,
-            )
-            for resource_id in eligible
-        ]
-        scored.sort()
-        return [resource_id for _neg, _posts, resource_id in scored[:count]]
+        eligible = self._eligible_set(context)
+        return context.board.most_unstable_first(eligible, count)

@@ -53,7 +53,7 @@ class OracleGreedy(Strategy):
         self._initialized = True
 
     def choose(self, context: AllocationContext, count: int) -> list[int]:
-        self._require_eligible(context)
+        self._eligible_set(context)
         if not self._initialized:
             self._initialize(context)
         chosen: list[int] = []

@@ -241,6 +241,7 @@ class ITagSystem:
             platform=platform,
             pay_per_task=row["pay_per_task"],
             rng=self.rng.stream(f"project.{project_id}"),
+            tasks_done=row["budget_spent"],
         )
         self.quality.attach(runtime)
         self.projects.transition(project_id, "running")
@@ -287,7 +288,8 @@ class ITagSystem:
             self._clock = max(self._clock, runtime.platform.now)
             clock = self._clock
             resource = runtime.corpus.resource(outcome.resource_id)
-            average = runtime.board.average_quality()
+            # the average run_one_task just put on the trajectory
+            average = runtime.trajectory[-1][1]
         # One task = one transaction = one commit-scoped WAL record:
         # concurrent snapshot readers see the decision, the resource
         # stats, the notification and the spend together or not at all.
@@ -301,7 +303,7 @@ class ITagSystem:
                     worker_id = self.users.ensure_tagger(outcome.worker_id)
                     self.users.record_decision(worker_id, approved=outcome.approved)
                     if outcome.approved:
-                        self.resources.record_post(resource, outcome.quality_after)
+                        self.resources.record_post(outcome.post, outcome.quality_after)
                         self.notifications.notify(
                             row["provider_id"],
                             "post_approved",
@@ -518,24 +520,28 @@ class ITagSystem:
             raise ProjectError(f"project {project_id} is not running")
         if self.projects.budget_remaining(project_id) <= 0:
             raise ProjectError(f"project {project_id}: no budget left")
-        runtime = self.quality.runtime(project_id)
-        resource = runtime.corpus.resource(resource_id)
-        post = Post.from_tags(resource_id, tagger_id, tag_ids, timestamp=self._clock)
-        runtime.approval_book.record_submission()
-        approved = runtime.approval_policy.should_approve(resource, post)
-        self.users.ensure_tagger(tagger_id)
-        if approved:
-            runtime.corpus.add_post(post)
-            quality = runtime.board.observe(resource)
-            self.resources.record_post(resource, quality)
-            self.ledger.pay_task(
-                row["provider_id"], tagger_id, 0, row["pay_per_task"], fee_rate=0.0
+        with self._task_mutex:
+            runtime = self.quality.runtime(project_id)
+            resource = runtime.corpus.resource(resource_id)
+            post = Post.from_tags(
+                resource_id, tagger_id, tag_ids, timestamp=self._clock
             )
-        runtime.approval_book.record_decision(tagger_id, approved)
-        self.users.record_decision(tagger_id, approved=approved)
-        runtime.allocation[resource_id] += 1
-        average = runtime.board.average_quality()
-        runtime.trajectory.append((row["budget_spent"] + 1, average))
+            runtime.approval_book.record_submission()
+            approved = runtime.approval_policy.should_approve(resource, post)
+            self.users.ensure_tagger(tagger_id)
+            if approved:
+                post = runtime.corpus.add_post(post)
+                quality = runtime.board.observe(resource)
+                self.resources.record_post(post, quality)
+                self.ledger.pay_task(
+                    row["provider_id"], tagger_id, 0, row["pay_per_task"], fee_rate=0.0
+                )
+            runtime.approval_book.record_decision(tagger_id, approved)
+            self.users.record_decision(tagger_id, approved=approved)
+            runtime.allocation[resource_id] += 1
+            average = runtime.board.average_quality()
+            runtime.tasks_done += 1
+            runtime.trajectory.append((runtime.tasks_done, average))
         self.projects.record_spend(project_id, avg_quality=average)
         if self.projects.budget_remaining(project_id) == 0:
             self._complete(project_id)

@@ -28,19 +28,26 @@ from ..errors import BudgetError, ProjectError
 from ..quality.estimator import QualityBoard
 from ..strategies.base import AllocationContext, Strategy
 from ..tagging.corpus import Corpus
+from ..tagging.post import Post
 
 __all__ = ["ProjectRuntime", "QualityManager", "TaskOutcome"]
 
 
 @dataclass(frozen=True)
 class TaskOutcome:
-    """What happened to one executed task."""
+    """What happened to one executed task.
+
+    ``post`` is the approved post as ``Corpus.add_post`` sequenced it
+    (``None`` when rejected): the post to persist, whatever the live
+    corpus holds by the time the task commits.
+    """
 
     task_id: int
     resource_id: int
     worker_id: int
     approved: bool
     quality_after: float
+    post: Post | None = None
 
 
 @dataclass
@@ -61,6 +68,11 @@ class ProjectRuntime:
     allocation: dict[int, int] = field(default_factory=dict)
     trajectory: list[tuple[int, float]] = field(default_factory=list)
     rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
+    #: tasks simulated so far (platform tasks and direct submissions);
+    #: the budget index of the next trajectory point is one more.  It
+    #: advances under the system's task mutex, so concurrent writers
+    #: never share an index even though their spends commit later.
+    tasks_done: int = 0
 
     def __post_init__(self) -> None:
         if not self.eligible:
@@ -77,7 +89,7 @@ class ProjectRuntime:
             corpus=self.corpus,
             board=self.board,
             rng=self.rng,
-            eligible=set(self.eligible),
+            eligible=self.eligible,
             budget_total=budget_total,
             budget_spent=budget_spent,
         )
@@ -168,7 +180,10 @@ class QualityManager:
         Budget accounting and project-row updates are the caller's
         (facade's) responsibility — this method is pure campaign
         mechanics, which keeps it reusable under both the store-backed
-        system and lightweight harnesses.
+        system and lightweight harnesses.  The trajectory point it
+        appends is indexed by the runtime's task counter: a concurrent
+        writer's spend may not have committed yet, so ``budget_spent``
+        can lag the tasks already simulated.
         """
         runtime = self.runtime(project_id)
         if budget_spent >= budget_total:
@@ -186,8 +201,9 @@ class QualityManager:
         resource = runtime.corpus.resource(resource_id)
         approved = runtime.approval_policy.should_approve(resource, task.post)
         worker = runtime.platform.worker(task.worker_id)
+        post = None
         if approved:
-            runtime.corpus.add_post(task.post)
+            post = runtime.corpus.add_post(task.post)
             quality = runtime.board.observe(resource)
             task.approve(at=runtime.platform.now)
             fee = runtime.pay_per_task * runtime.platform.fee_rate
@@ -206,8 +222,9 @@ class QualityManager:
             quality = runtime.board.quality_of(resource_id)
         runtime.approval_book.record_decision(worker.worker_id, approved)
         runtime.allocation[resource_id] += 1
+        runtime.tasks_done += 1
         runtime.trajectory.append(
-            (budget_spent + 1, runtime.board.average_quality())
+            (runtime.tasks_done, runtime.board.average_quality())
         )
         return TaskOutcome(
             task_id=task.task_id,
@@ -215,6 +232,7 @@ class QualityManager:
             worker_id=worker.worker_id,
             approved=approved,
             quality_after=quality,
+            post=post,
         )
 
     def _choose(

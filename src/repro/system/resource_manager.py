@@ -13,7 +13,7 @@ from __future__ import annotations
 from ..errors import ResourceNotFoundError
 from ..store import And, Database, Eq, Ge, Query
 from ..tagging.corpus import Corpus
-from ..tagging.resource import TaggedResource
+from ..tagging.post import Post
 
 __all__ = ["ResourceManager"]
 
@@ -117,22 +117,32 @@ class ResourceManager:
 
     # ------------------------------------------------------------------
 
-    def record_post(self, resource: TaggedResource, quality: float) -> None:
-        """Persist a newly approved post's effect on its resource row."""
-        latest = resource.posts[-1]
+    def record_post(self, post: Post, quality: float) -> None:
+        """Persist one approved post and its effect on the resource row.
+
+        ``post`` is the sequenced copy ``Corpus.add_post`` returned, not
+        the live corpus's latest post: with two writers, another task's
+        simulation may have added posts since, and its commit may land
+        first.  So the row keeps the larger post count, and takes
+        ``quality`` only from a post at least as new as the row (read
+        and updated inside the caller's transaction, under the row
+        lock).  With one writer the row ends up as ``n_posts =
+        post.index`` and ``quality``.
+        """
         self._posts.insert(
             {
-                "resource_id": latest.resource_id,
-                "tagger_id": latest.tagger_id,
-                "tag_ids": list(latest.tag_ids),
-                "seq": latest.index,
-                "ts": latest.timestamp,
+                "resource_id": post.resource_id,
+                "tagger_id": post.tagger_id,
+                "tag_ids": list(post.tag_ids),
+                "seq": post.index,
+                "ts": post.timestamp,
             }
         )
-        self._resources.update(
-            resource.resource_id,
-            {"n_posts": resource.n_posts, "quality": quality},
-        )
+        row = self.get(post.resource_id)
+        changes: dict = {"n_posts": max(row["n_posts"], post.index)}
+        if post.index >= row["n_posts"]:
+            changes["quality"] = quality
+        self._resources.update(post.resource_id, changes)
 
     def update_quality(self, resource_id: int, quality: float) -> None:
         self._resources.update(resource_id, {"quality": quality})

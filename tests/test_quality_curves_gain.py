@@ -153,17 +153,3 @@ class TestQualityBoard:
         at_least = set(board.at_least(0.99))
         assert below | at_least == set(tiny_corpus.resource_ids())
         assert below & at_least == set()
-
-    def test_most_unstable_prefers_no_posts(self, tiny_corpus):
-        board = QualityBoard(tiny_corpus)
-        # Resource 3 has zero posts -> quality 0 -> most unstable,
-        # resource 2 has one post (also quality 0) -> tie broken by
-        # fewer posts first.
-        assert board.most_unstable(2) == [3, 2]
-
-    def test_invalidate(self, tiny_corpus):
-        board = QualityBoard(tiny_corpus)
-        board.quality_of(1)
-        board.invalidate(1)
-        board.invalidate()
-        assert board.quality_of(1) >= 0.0

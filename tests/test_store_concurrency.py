@@ -16,6 +16,7 @@ forever.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -753,13 +754,120 @@ class TestSessionDriver:
         project = system.create_project(provider, "campaign", budget=90)
         system.upload_resources(project, data.provider_corpus)
         system.start_project(project, noise_model=data.dataset.noise_model)
-        report = SessionDriver(
-            system, project, readers=2, writer_tasks=30, writers=3
-        ).run()
+        resources = system.database.table("resources")
+        initial_posts = Query(resources).aggregate("n_posts", "sum")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more interleavings per task
+        try:
+            report = SessionDriver(
+                system, project, readers=2, writer_tasks=30, writers=3
+            ).run()
+        finally:
+            sys.setswitchinterval(interval)
         assert report.consistent, report.describe()
         assert report.writers == 3
         assert len(report.writer_sessions) == 3
         # the shared pool drains exactly once across the racing writers
         assert sum(s.commits for s in report.writer_sessions) == report.writer_tasks
         assert report.writer_tasks <= 30
+        system.database.verify()
+        if any(s.aborts for s in report.writer_sessions):
+            return  # an aborted task's simulation is not rolled back
+        approved = Query(system.database.table("notifications")).where(
+            Eq("kind", "post_approved")
+        ).count()
+        assert Query(resources).aggregate("n_posts", "sum") == initial_posts + approved
+        keys = [
+            (post["resource_id"], post["seq"])
+            for post in Query(system.database.table("posts")).all()
+        ]
+        assert len(keys) == len(set(keys))
+        indexes = [spent for spent, _quality in system.quality_history(project)]
+        assert indexes == list(range(1, report.writer_tasks + 1))
+        assert indexes[-1] == system.projects.get(project)["budget_spent"]
+
+    def test_two_writers_with_a_late_commit_keep_rows_and_trajectory_exact(self):
+        """Writer A simulates one task, then its transaction is held at
+        entry while writer B runs three tasks, the first on A's
+        resource, and commits them; only then does A commit.  The rows
+        must still hold every approved post exactly once with the live
+        post counts, and the trajectory must index tasks 1..n once each."""
+        import contextlib
+        import itertools
+
+        from repro.crowd.approval import ApprovalPolicy
+        from repro.datasets import make_delicious_like
+        from repro.system import ITagSystem
+
+        class ApproveAll(ApprovalPolicy):
+            def should_approve(self, resource, post):
+                return True
+
+        data = make_delicious_like(
+            n_resources=8, initial_posts_total=40, master_seed=7, population_size=12
+        )
+        corpus = data.provider_corpus
+        system = ITagSystem(master_seed=7)
+        provider = system.register_provider("p")
+        project = system.create_project(provider, "campaign", budget=20)
+        system.upload_resources(project, corpus)
+        system.start_project(project, noise_model=data.dataset.noise_model)
+        runtime = system.quality.runtime(project)
+        runtime.approval_policy = ApproveAll()
+        resources = system.database.table("resources")
+        posts = system.database.table("posts")
+        initial_posts = Query(resources).aggregate("n_posts", "sum")
+
+        transaction = system.database.transaction
+        entries = itertools.count()
+        held, release = threading.Event(), threading.Event()
+
+        @contextlib.contextmanager
+        def first_commit_waits():
+            if next(entries) == 0:  # writer A's task transaction
+                held.set()
+                assert release.wait(10.0)
+            with transaction():
+                yield
+
+        system.database.transaction = first_commit_waits
+        errors: list[str] = []
+
+        def writer_a():
+            try:
+                system.run_project(project, tasks=1)
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                errors.append(repr(exc))
+
+        late = threading.Thread(target=writer_a, name="writer-a")
+        late.start()
+        try:
+            assert held.wait(10.0)
+            (resource_a,) = [rid for rid, n in runtime.allocation.items() if n]
+            system.promote_resource(project, resource_a)
+            system.run_project(project, tasks=3)
+            assert runtime.allocation[resource_a] >= 2
+        finally:
+            release.set()
+            late.join(10.0)
+            del system.database.transaction
+        assert not late.is_alive() and not errors, errors
+
+        row = system.projects.get(project)
+        assert row["budget_spent"] == 4
+        # all four posts were approved, and each row holds its own post
+        assert Query(resources).aggregate("n_posts", "sum") == initial_posts + 4
+        keys = [(post["resource_id"], post["seq"]) for post in Query(posts).all()]
+        assert len(keys) == len(set(keys)) == initial_posts + 4
+        for post in Query(posts).all():
+            live = corpus.resource(post["resource_id"]).posts[post["seq"] - 1]
+            assert (post["tagger_id"], post["tag_ids"]) == (
+                live.tagger_id,
+                list(live.tag_ids),
+            )
+        for resource in corpus:
+            assert resources.get(resource.resource_id)["n_posts"] == resource.n_posts
+        indexes = [spent for spent, _quality in system.quality_history(project)]
+        assert indexes == sorted(set(indexes))
+        assert indexes[-1] == row["budget_spent"]
         system.database.verify()

@@ -79,12 +79,27 @@ class TestResourceManager:
     def test_record_post_appends(self, loaded):
         _database, corpus, manager = loaded
         resource = corpus.resource(1)
-        resource.add_post(Post.from_tags(1, 52, [2]))
-        manager.record_post(resource, quality=0.7)
+        post = resource.add_post(Post.from_tags(1, 52, [2]))
+        manager.record_post(post, quality=0.7)
         row = manager.get(1)
         assert row["n_posts"] == 3
         assert row["quality"] == 0.7
         assert len(manager.posts_of(1)) == 3
+
+    def test_record_post_out_of_order_keeps_newest(self, loaded):
+        # two writers: the task that simulated post 3 commits after the
+        # one that simulated post 4
+        _database, corpus, manager = loaded
+        resource = corpus.resource(1)
+        third = resource.add_post(Post.from_tags(1, 52, [2]))
+        fourth = resource.add_post(Post.from_tags(1, 53, [0]))
+        manager.record_post(fourth, quality=0.8)
+        manager.record_post(third, quality=0.7)
+        row = manager.get(1)
+        assert row["n_posts"] == 4
+        assert row["quality"] == 0.8
+        assert [p["seq"] for p in manager.posts_of(1)] == [1, 2, 3, 4]
+        assert [p["tagger_id"] for p in manager.posts_of(1)][2:] == [52, 53]
 
     def test_promote_stop_flags(self, loaded):
         _database, _corpus, manager = loaded
