@@ -99,7 +99,8 @@ grep -Eq "from [0-9]+ wal segment" "$fixture_dir/segments.out"
 grep -q "verify: ok" "$fixture_dir/segments.out"
 python -m repro store checkpoint --dir "$fixture_dir/segments" --stats \
     | tee "$fixture_dir/segments-ckpt.out"
-grep -q "kind: incremental" "$fixture_dir/segments-ckpt.out"
+grep -Eq "checkpoint written: checkpoint-[0-9]{6}\.manifest\.json" \
+    "$fixture_dir/segments-ckpt.out"
 
 # concurrency smoke: 1 writer vs snapshot readers, zero torn reads
 python -m repro store smoke --readers 3 --tasks 40

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Perf-regression smoke gate: the EXP-ST read/commit-path claim subset.
 
-Runs a reduced EXP-ST (small row count, no WAL) and fails — exit code
-1 — if any of the gated claims regressed:
+Runs a reduced EXP-ST (small row count) and fails — exit code 1 — if
+any of the gated claims regressed:
 
 * hash-index point-query throughput (the >12k ops/sec floor, 5x the
   pre-zero-copy baseline),
@@ -22,15 +22,15 @@ Runs a reduced EXP-ST (small row count, no WAL) and fails — exit code
   row-granular admission can never silently degrade back to table-level
   serialization),
 * incremental checkpoints: a generation touching 1 of 64 tables
-  beating a full snapshot by >5x (so checkpoint cost keeps tracking
-  the dirty fraction instead of database size),
+  beating one with all 64 dirty by >5x (so checkpoint cost keeps
+  tracking the dirty fraction instead of database size),
 * chunked sorted-index inserts beating the flat-list seed path by >3x
   with read equivalence (so ordered-index maintenance can never
   silently fall back to O(n) memmove inserts).
 
-Called from scripts/check.sh and as a dedicated CI step, so a
-performance regression fails the merge even when it is not large
-enough to break a functional test.
+Called from scripts/check.sh (which CI runs), so a performance
+regression fails the merge even when it is not large enough to break a
+functional test.
 
 Usage: PYTHONPATH=src python scripts/perf_gate.py [rows]
 """

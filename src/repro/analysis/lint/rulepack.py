@@ -245,7 +245,6 @@ _DURABILITY_CALLS = frozenset(
         "fsync_directory",
         "write_text_atomic",
         "write_bytes_atomic",
-        "save_database",
     }
 )
 

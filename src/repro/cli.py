@@ -11,7 +11,7 @@ Subcommands::
         [--order-by COL] [--descending] [--limit N] \\
         [--join TABLE --on LEFT=RIGHT [--how inner|left]]... [--rows N]
     itag store recover --dir STATE_DIR [--fsync POLICY]
-    itag store checkpoint --dir STATE_DIR [--fsync POLICY] [--full] [--stats]
+    itag store checkpoint --dir STATE_DIR [--fsync POLICY] [--stats]
     itag store smoke [--readers N] [--writers N] [--tasks N] [--seed N] \\
         [--same-table]
     itag lint [PATH ...] [--rule ID]... [--baseline check|update|ignore] \\
@@ -30,10 +30,9 @@ printed tree shows the *planner-chosen* join order — the
 crash recovery did (checkpoint loaded, committed records replayed, torn
 tail discarded/repaired), and exits 0 when the recovered state passes
 the store's consistency checks.  ``store checkpoint`` writes one
-checkpoint generation — incremental by default (manifest + per-table
-files, clean tables reused), legacy full snapshot with ``--full`` —
-then prunes covered WAL segments; ``--stats`` prints the
-rewritten/reused split, bytes, segment counts and timing.  ``store
+incremental checkpoint generation (manifest + per-table files, clean
+tables reused), then prunes covered WAL segments; ``--stats`` prints
+the rewritten/reused split, bytes, segment counts and timing.  ``store
 smoke``
 runs the concurrent-session driver (N writers vs N snapshot readers)
 on a small synthetic campaign, reporting per-writer commit/abort/
@@ -168,11 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a checkpoint generation and prune covered WAL segments",
     )
     add_durability_flags(checkpoint_parser)
-    checkpoint_parser.add_argument(
-        "--full", action="store_true",
-        help="write a legacy full snapshot (checkpoint-NNNNNN.json) "
-        "instead of an incremental manifest generation",
-    )
     checkpoint_parser.add_argument(
         "--stats", action="store_true",
         help="print per-checkpoint stats (tables rewritten vs reused, "
@@ -417,19 +411,15 @@ def _cmd_store_checkpoint(args: argparse.Namespace) -> int:
     database = Database.open(args.dir, fsync=args.fsync)
     try:
         print(database.recovery.describe())
-        wal = database.wal
-        records_before = len(wal) if wal is not None else 0
-        stats = database.checkpoint(full=args.full)
-        records_after = len(wal) if wal is not None else 0
-        written = database.last_checkpoint_path
+        records_before = len(database.wal)
+        stats = database.checkpoint()
         print(
-            f"checkpoint written: {written.name if written else '?'} "
-            f"(wal records {records_before} -> {records_after})"
+            f"checkpoint written: {database.last_checkpoint_path.name} "
+            f"(wal records {records_before} -> {len(database.wal)})"
         )
         if args.stats:
             print(
-                f"  kind: {stats['kind']} (generation {stats['generation']}, "
-                f"wal_lsn {stats['wal_lsn']})"
+                f"  generation {stats['generation']} (wal_lsn {stats['wal_lsn']})"
             )
             print(
                 f"  tables: {stats['tables_rewritten']} rewritten, "

@@ -40,13 +40,7 @@ from .lockmgr import (
     LOCK_SHARED,
     LockManager,
 )
-from .persist import (
-    export_table_csv,
-    load_database,
-    save_database,
-    write_bytes_atomic,
-    write_text_atomic,
-)
+from .persist import export_table_csv, write_bytes_atomic, write_text_atomic
 from .plan import (
     Empty,
     Filter,
@@ -117,7 +111,7 @@ __all__ = [
     "JoinGraph", "JoinEdge", "Relation", "plan_join_graph",
     "HashIndex", "SortedIndex", "HashIndexSnapshot", "SortedIndexSnapshot",
     "EquiWidthHistogram", "MostCommonValues",
-    "save_database", "load_database", "export_table_csv",
+    "export_table_csv",
     "StoreError", "SchemaError", "ConstraintError", "DuplicateKeyError",
     "RowNotFoundError", "UnknownTableError", "UnknownColumnError",
     "TransactionError", "DeadlockError", "QueryError", "WalError",

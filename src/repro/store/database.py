@@ -3,7 +3,9 @@
 Two ways to run one:
 
 * **In-memory** (the default): ``Database("itag")`` — tables live in
-  process memory; an optional WAL can be attached by hand.
+  process memory; an optional WAL can be attached by hand, and
+  :meth:`~Database.to_snapshot` returns a JSON image, but nothing is
+  checkpointed.
 * **Managed durability directory**: ``Database.open(dir)`` owns a
   directory holding checkpoint generations plus a ``wal.log``
   *segment directory* and implements crash recovery — load the newest
@@ -12,22 +14,22 @@ Two ways to run one:
   discard torn tail records instead of raising.  ``close()`` flushes
   and releases the log.
 
-  Checkpoints are **incremental** by default: generation ``N`` is a
-  manifest (``checkpoint-NNNNNN.manifest.json``) naming one snapshot
-  file per table (``table-<name>-NNNNNN.json``), and only tables
-  whose :attr:`~repro.store.table.Table.version` counter moved since
-  the previous checkpoint are rewritten — clean tables re-reference
-  the file the previous generation already wrote, so checkpoint cost
+  Checkpoints are **incremental**: generation ``N`` is a manifest
+  (``checkpoint-NNNNNN.manifest.json``) naming one snapshot file per
+  table (``table-<name>-NNNNNN.json``), and only tables whose
+  :attr:`~repro.store.table.Table.version` counter moved since the
+  previous checkpoint are rewritten — clean tables re-reference the
+  file the previous generation already wrote, so checkpoint cost
   tracks the *dirty fraction*, not total database size.  Every file
   is published atomically (temp + ``os.replace``); the manifest
   rename is the commit point, and the WAL is pruned (whole covered
-  segments deleted) only after it lands.  ``checkpoint(full=True)``
-  still writes the legacy single-file ``checkpoint-NNNNNN.json``
-  format, which recovery reads interchangeably.  Retention keeps
-  ``CHECKPOINT_KEEP`` *generations* (manifest or full); table files
-  referenced by no retained manifest are garbage-collected, and
-  unreadable generations are quarantined to ``*.corrupt`` so they
-  never count against retention.
+  segments deleted) only after it lands.  Retention keeps
+  ``CHECKPOINT_KEEP`` generations; table files referenced by no
+  retained manifest are garbage-collected, and unreadable generations
+  are quarantined to ``*.corrupt`` so they never count against
+  retention.  A directory in an older layout (a single-file
+  ``checkpoint-NNNNNN.json`` snapshot or a single-file ``wal.log``)
+  is refused on open, before any file is touched.
 
 Concurrency model (multi-writer / multi-reader, strict 2PL):
 
@@ -66,7 +68,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator
 
-from .errors import TransactionError, UnknownTableError
+from .errors import StoreError, TransactionError, UnknownTableError
 from .locking import ActivityBarrier
 from .lockmgr import (
     DEFAULT_LOCK_TIMEOUT,
@@ -86,31 +88,22 @@ __all__ = ["Database", "RecoveryReport", "CHECKPOINT_KEEP"]
 #: but a fallback costs one file).
 CHECKPOINT_KEEP = 2
 
-#: Generation file names.  A *manifest* generation is
+#: Generation file names: generation ``N`` is
 #: ``checkpoint-NNNNNN.manifest.json`` plus the ``table-*.json`` files
-#: it references; a *full* generation is the legacy single-file
-#: ``checkpoint-NNNNNN.json``.  Note the legacy glob
-#: ``checkpoint-*.json`` matches both — discovery always dispatches on
-#: the manifest suffix first.
+#: it references.
 _MANIFEST_SUFFIX = ".manifest.json"
 _CHECKPOINT_PREFIX = "checkpoint-"
 
 
-def _generation_of(path: Path) -> tuple[int, str] | None:
-    """Parse a checkpoint file name into ``(generation, kind)`` where
-    kind is ``"manifest"`` or ``"full"``; None for non-generation files
-    (quarantined ``.corrupt``, stray temp files, unparseable names)."""
+def _generation_of(path: Path) -> int | None:
+    """Parse a manifest file name into its generation number; None for
+    any other file (quarantined ``.corrupt``, stray temp files,
+    unparseable names)."""
     name = path.name
-    if not name.startswith(_CHECKPOINT_PREFIX):
-        return None
-    if name.endswith(_MANIFEST_SUFFIX):
-        stem, kind = name[len(_CHECKPOINT_PREFIX):-len(_MANIFEST_SUFFIX)], "manifest"
-    elif name.endswith(".json"):
-        stem, kind = name[len(_CHECKPOINT_PREFIX):-len(".json")], "full"
-    else:
+    if not (name.startswith(_CHECKPOINT_PREFIX) and name.endswith(_MANIFEST_SUFFIX)):
         return None
     try:
-        return int(stem), kind
+        return int(name[len(_CHECKPOINT_PREFIX):-len(_MANIFEST_SUFFIX)])
     except ValueError:
         return None
 
@@ -126,11 +119,8 @@ class RecoveryReport:
     directory: str
     checkpoint_path: str | None = None
     checkpoint_lsn: int = 0
-    #: "manifest" (incremental generation) or "full" (legacy single
-    #: file); None when no checkpoint was found
-    checkpoint_kind: str | None = None
     checkpoint_generation: int = 0
-    #: table snapshot files composed for a manifest generation
+    #: table snapshot files the loaded generation composed
     checkpoint_table_files: int = 0
     records_replayed: int = 0
     changes_applied: int = 0
@@ -142,10 +132,10 @@ class RecoveryReport:
     def describe(self) -> str:
         lines = [f"recovered database from {self.directory}"]
         if self.checkpoint_path:
-            detail = f"{self.checkpoint_kind}, wal_lsn {self.checkpoint_lsn}"
-            if self.checkpoint_kind == "manifest":
-                detail += f", {self.checkpoint_table_files} table files"
-            lines.append(f"  checkpoint: {self.checkpoint_path} ({detail})")
+            lines.append(
+                f"  checkpoint: {self.checkpoint_path} (wal_lsn "
+                f"{self.checkpoint_lsn}, {self.checkpoint_table_files} table files)"
+            )
         else:
             lines.append("  checkpoint: none (replaying the full log)")
         for name in self.skipped_checkpoints:
@@ -200,7 +190,7 @@ class Database:
         #: generation can still replay forward (never-lossy fallback)
         self._covered_lsn = 0
         #: path of the newest checkpoint written by this process (None
-        #: until the first managed checkpoint())
+        #: until the first checkpoint())
         self.last_checkpoint_path: Path | None = None
         #: incremental-checkpoint baseline: per-table ``version`` at
         #: the moment the last generation was taken, and the table file
@@ -229,66 +219,76 @@ class Database:
         """Open (or create) a managed durability directory.
 
         Loads the newest valid checkpoint generation — a manifest plus
-        its per-table snapshot files, or a legacy full snapshot —
-        replays the committed WAL suffix on top (torn tail records are
-        discarded and the log is repaired in place), attaches the log,
-        and returns the database with a :class:`RecoveryReport` in
-        :attr:`recovery`.  A generation whose manifest or any
-        referenced table file is unreadable is quarantined to
-        ``*.corrupt`` and recovery falls back to the next-newest one,
-        whose WAL suffix was retained (never-lossy fallback).
+        its per-table snapshot files — replays the committed WAL suffix
+        on top (torn tail records are discarded and the log is repaired
+        in place), attaches the log, and returns the database with a
+        :class:`RecoveryReport` in :attr:`recovery`.  A generation
+        whose manifest or any referenced table file is unreadable is
+        quarantined to ``*.corrupt`` and recovery falls back to the
+        next-newest one, whose WAL suffix was retained (never-lossy
+        fallback).
+
+        Raises :class:`~repro.store.errors.StoreError`, before touching
+        any file, when the directory holds an older layout: a
+        single-file ``checkpoint-*.json`` snapshot (the WAL below its
+        ``wal_lsn`` may already be pruned, so skipping it would lose
+        committed rows) or a single-file ``wal.log``.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         report = RecoveryReport(directory=str(directory))
 
-        candidates: list[tuple[int, str, Path]] = []
-        max_index = 0
-        for path in directory.glob("checkpoint-*"):
-            parsed = _generation_of(path)
-            if parsed is None:
-                if path.name.endswith(".json"):
-                    report.skipped_checkpoints.append(path.name)
+        legacy: list[str] = []
+        if (directory / "wal.log").is_file():
+            legacy.append("wal.log")
+        candidates: list[tuple[int, Path]] = []
+        for path in directory.glob("checkpoint-*.json"):
+            if not path.name.endswith(_MANIFEST_SUFFIX):
+                legacy.append(path.name)
                 continue
-            index, kind = parsed
-            max_index = max(max_index, index)
-            candidates.append((index, kind, path))
+            index = _generation_of(path)
+            if index is None:
+                report.skipped_checkpoints.append(path.name)
+                continue
+            candidates.append((index, path))
+        if legacy:
+            raise StoreError(
+                f"{directory}: unsupported legacy layout "
+                f"({', '.join(sorted(legacy))}); only manifest checkpoints "
+                "and a segmented wal.log directory can be opened"
+            )
+        max_index = max((index for index, _path in candidates), default=0)
 
         database: "Database" | None = None
         checkpoint_lsn = 0
         checkpoint_files: dict[str, str] = {}
-        for index, kind, path in sorted(candidates, reverse=True):
+        for index, path in sorted(candidates, reverse=True):
             # materialize inside the try: a generation that parses as
-            # JSON but is structurally broken (or, for a manifest, is
-            # missing a table file) must fall back to the older
-            # generation, not abort recovery
+            # JSON but is structurally broken (or is missing a table
+            # file) must fall back to the older generation, not abort
+            # recovery
             try:
                 payload = json.loads(path.read_text(encoding="utf-8"))
-                if kind == "manifest":
-                    lsn = int(payload.get("wal_lsn", 0))
-                    files = {
-                        str(table_name): str(info["file"])
-                        for table_name, info in payload["tables"].items()
-                    }
-                    tables = {
-                        table_name: json.loads(
-                            (directory / file_name).read_text(encoding="utf-8")
-                        )
-                        for table_name, file_name in files.items()
-                    }
-                    database = cls.from_snapshot(
-                        {"name": payload.get("name", "db"), "tables": tables}
+                lsn = int(payload.get("wal_lsn", 0))
+                files = {
+                    str(table_name): str(info["file"])
+                    for table_name, info in payload["tables"].items()
+                }
+                tables = {
+                    table_name: json.loads(
+                        (directory / file_name).read_text(encoding="utf-8")
                     )
-                    checkpoint_files = files
-                    report.checkpoint_table_files = len(files)
-                else:
-                    lsn = int(payload.pop("wal_lsn", 0))
-                    database = cls.from_snapshot(payload)
+                    for table_name, file_name in files.items()
+                }
+                database = cls.from_snapshot(
+                    {"name": payload.get("name", "db"), "tables": tables}
+                )
+                checkpoint_files = files
                 checkpoint_lsn = lsn
                 report.checkpoint_path = str(path)
                 report.checkpoint_lsn = lsn
-                report.checkpoint_kind = kind
                 report.checkpoint_generation = index
+                report.checkpoint_table_files = len(files)
                 break
             except Exception:  # noqa: BLE001 - any unreadable generation
                 report.skipped_checkpoints.append(path.name)
@@ -567,25 +567,19 @@ class Database:
     def wal(self) -> WriteAheadLog | None:
         return self._wal
 
-    def checkpoint(
-        self, path: str | Path | None = None, *, full: bool = False
-    ) -> dict[str, Any]:
-        """Snapshot the database durably, then prune the covered log.
+    def checkpoint(self) -> dict[str, Any]:
+        """Write one incremental checkpoint generation into the managed
+        directory, then prune the covered log.
 
-        In a managed directory the default is an **incremental**
-        generation: each table whose ``version`` moved since the last
-        checkpoint gets a fresh ``table-<name>-NNNNNN.json`` snapshot
-        file; clean tables re-reference the file the previous
-        generation wrote.  The manifest
-        (``checkpoint-NNNNNN.manifest.json``) naming the complete file
-        set is written last — its atomic rename is the commit point —
-        and only then is the WAL pruned, whole covered segments at a
-        time.  ``full=True`` writes the legacy single-file
-        ``checkpoint-NNNNNN.json`` instead (and resets the incremental
-        baseline, so the next incremental generation rewrites every
-        table).  Either way the managed path returns a stats dict
-        (generation, kind, tables rewritten/reused, bytes, wal
-        segments) rather than the snapshot.
+        Each table whose ``version`` moved since the last checkpoint
+        gets a fresh ``table-<name>-NNNNNN.json`` snapshot file; clean
+        tables re-reference the file the previous generation wrote.
+        The manifest (``checkpoint-NNNNNN.manifest.json``) naming the
+        complete file set is written last — its atomic rename is the
+        commit point — and only then is the WAL pruned, whole covered
+        segments at a time.  Returns a stats dict (generation, path,
+        wal_lsn, tables rewritten/reused, bytes, wal records dropped,
+        live wal segments, duration).
 
         A crash between any two steps is safe: table files land before
         the manifest that references them, and the previous checkpoint
@@ -594,55 +588,35 @@ class Database:
         generation's ``wal_lsn``, so if the newest generation is ever
         unreadable, recovery falls back to the older one and replays
         forward without losing a single committed record (matching
-        ``CHECKPOINT_KEEP`` retained generations).  With an explicit
-        ``path`` the same persist-then-prune order is used via
-        :func:`save_database`.  With neither, the snapshot is returned
-        and the WAL is left untouched — the caller persists on its own
-        and prunes explicitly (``wal.truncate()`` /
-        ``checkpoint(path=...)``) once the snapshot is safe.
+        ``CHECKPOINT_KEEP`` retained generations).
 
         Serializes against transactions so the snapshot sits at a
-        commit boundary.
+        commit boundary.  Raises :class:`TransactionError` inside a
+        transaction, on an in-memory database (nothing to persist into;
+        :meth:`to_snapshot` returns the image) and after :meth:`close`.
         """
         if self._current_transaction() is not None:
             raise TransactionError("checkpoint inside a transaction is not allowed")
-        if self._directory is not None:
-            if self._wal is None:
-                # After close() the WAL sequence is unknown; a snapshot
-                # stamped wal_lsn=0 would make recovery replay the full
-                # retained log *over* it and regress the state.
-                raise TransactionError(
-                    f"database {self.name!r}: checkpoint on a closed durable "
-                    "database (reopen with Database.open first)"
-                )
-            if path is not None:
-                raise TransactionError(
-                    "checkpoint(path=...) conflicts with a managed durability "
-                    "directory; use save_database for side exports"
-                )
+        if self._directory is None:
+            raise TransactionError(
+                f"database {self.name!r}: checkpoint needs a managed durability "
+                "directory (Database.open); use to_snapshot() for an in-memory image"
+            )
+        if self._wal is None:
+            # After close() the WAL sequence is unknown; a snapshot
+            # stamped wal_lsn=0 would make recovery replay the full
+            # retained log *over* it and regress the state.
+            raise TransactionError(
+                f"database {self.name!r}: checkpoint on a closed durable "
+                "database (reopen with Database.open first)"
+            )
         with self._barrier.exclusive():
-            wal = self._wal
             # Read the LSN *before* snapshotting: every record at or
             # below it was applied before the snapshot began, so the
             # snapshot covers it; later records survive the truncation.
-            covered_lsn = wal.sequence if wal is not None else 0
-            if self._directory is not None:
-                return self._checkpoint_managed(covered_lsn, full=full)
-            snapshot = self.to_snapshot()
-            if path is not None:
-                from .persist import save_database
+            return self._write_generation(self._wal.sequence)
 
-                save_database(self, path)
-                if wal is not None:
-                    wal.truncate_through(covered_lsn)
-            # With neither directory nor path, nothing durable covers
-            # the log yet — the caller persists the returned snapshot —
-            # so the WAL is left untouched (persist-then-prune order
-            # holds everywhere; prune explicitly via wal.truncate() or
-            # checkpoint(path=...) once the snapshot is safe).
-            return snapshot
-
-    def _checkpoint_managed(self, covered_lsn: int, *, full: bool) -> dict[str, Any]:
+    def _write_generation(self, covered_lsn: int) -> dict[str, Any]:
         """Write one checkpoint generation into the managed directory
         (caller holds the exclusive barrier) and prune the covered log.
         Returns the stats dict described by :meth:`checkpoint`."""
@@ -651,72 +625,55 @@ class Database:
         started = time.perf_counter()
         index = self._checkpoint_index + 1
         bytes_written = 0
-        if full:
-            payload = dict(self.to_snapshot())
-            payload["wal_lsn"] = covered_lsn
-            target = self._directory / f"{_CHECKPOINT_PREFIX}{index:06d}.json"
-            text = json.dumps(payload, sort_keys=True)
-            write_text_atomic(target, text)
-            bytes_written = len(text)
-            rewritten, reused = len(self._tables), 0
-            # the single file covers everything; no table files exist
-            # for the next incremental generation to reuse
-            self._checkpoint_files = {}
-        else:
-            files: dict[str, str] = {}
-            rewritten = reused = 0
-            for table_name in sorted(self._tables):
-                table = self._tables[table_name]
-                previous = self._checkpoint_files.get(table_name)
-                if (
-                    previous is not None
-                    and self._checkpoint_versions.get(table_name) == table.version
-                ):
-                    files[table_name] = previous
-                    reused += 1
-                    continue
-                file_name = _table_file_name(table_name, index)
-                text = json.dumps(self._snapshot_table(table), sort_keys=True)
-                write_text_atomic(self._directory / file_name, text)
-                bytes_written += len(text)
-                files[table_name] = file_name
-                rewritten += 1
-            manifest = {
-                "format": "checkpoint-manifest",
-                "name": self.name,
-                "generation": index,
-                "wal_lsn": covered_lsn,
-                "tables": {
-                    table_name: {
-                        "file": file_name,
-                        "version": self._tables[table_name].version,
-                    }
-                    for table_name, file_name in files.items()
-                },
-            }
-            target = (
-                self._directory / f"{_CHECKPOINT_PREFIX}{index:06d}{_MANIFEST_SUFFIX}"
-            )
-            text = json.dumps(manifest, sort_keys=True)
-            # commit point: the generation exists iff this rename lands
-            write_text_atomic(target, text)
+        files: dict[str, str] = {}
+        rewritten = reused = 0
+        for table_name in sorted(self._tables):
+            table = self._tables[table_name]
+            previous = self._checkpoint_files.get(table_name)
+            if (
+                previous is not None
+                and self._checkpoint_versions.get(table_name) == table.version
+            ):
+                files[table_name] = previous
+                reused += 1
+                continue
+            file_name = _table_file_name(table_name, index)
+            text = json.dumps(self._snapshot_table(table), sort_keys=True)
+            write_text_atomic(self._directory / file_name, text)
             bytes_written += len(text)
-            self._checkpoint_files = files
+            files[table_name] = file_name
+            rewritten += 1
+        manifest = {
+            "format": "checkpoint-manifest",
+            "name": self.name,
+            "generation": index,
+            "wal_lsn": covered_lsn,
+            "tables": {
+                table_name: {
+                    "file": file_name,
+                    "version": self._tables[table_name].version,
+                }
+                for table_name, file_name in files.items()
+            },
+        }
+        target = self._directory / f"{_CHECKPOINT_PREFIX}{index:06d}{_MANIFEST_SUFFIX}"
+        text = json.dumps(manifest, sort_keys=True)
+        # commit point: the generation exists iff this rename lands
+        write_text_atomic(target, text)
+        bytes_written += len(text)
+        self._checkpoint_files = files
         self._checkpoint_versions = {
             table_name: table.version
             for table_name, table in self._tables.items()
         }
         self._checkpoint_index = index
         self.last_checkpoint_path = target
-        records_dropped = 0
-        if self._wal is not None:
-            # keep the suffix the previous (still-retained) generation
-            # would need, so falling back to it is never lossy
-            records_dropped = self._wal.truncate_through(self._covered_lsn)
+        # keep the suffix the previous (still-retained) generation
+        # would need, so falling back to it is never lossy
+        records_dropped = self._wal.truncate_through(self._covered_lsn)
         self._covered_lsn = covered_lsn
         self._prune_checkpoints()
         return {
-            "kind": "full" if full else "incremental",
             "generation": index,
             "path": str(target),
             "wal_lsn": covered_lsn,
@@ -725,47 +682,38 @@ class Database:
             "tables_reused": reused,
             "bytes_written": bytes_written,
             "wal_records_dropped": records_dropped,
-            "wal_segments": self._wal.segment_count if self._wal is not None else 0,
+            "wal_segments": self._wal.segment_count,
             "duration_s": time.perf_counter() - started,
         }
 
     def _prune_checkpoints(self) -> None:
-        """Retention: keep the newest ``CHECKPOINT_KEEP`` generations
-        (manifest or full), delete older generation files, and
-        garbage-collect ``table-*.json`` files referenced by no
-        retained manifest."""
-        if self._directory is None:
-            return
-        generations: dict[int, list[tuple[str, Path]]] = {}
+        """Retention: keep the newest ``CHECKPOINT_KEEP`` generations,
+        delete older manifests, and garbage-collect ``table-*.json``
+        files referenced by no retained manifest."""
+        generations: dict[int, Path] = {}
         for candidate in self._directory.glob("checkpoint-*"):
-            parsed = _generation_of(candidate)
-            if parsed is None:
-                continue
-            index, kind = parsed
-            generations.setdefault(index, []).append((kind, candidate))
+            index = _generation_of(candidate)
+            if index is not None:
+                generations[index] = candidate
         ordered = sorted(generations)
         retained, stale = ordered[-CHECKPOINT_KEEP:], ordered[:-CHECKPOINT_KEEP]
         for index in stale:
-            for _kind, candidate in generations[index]:
-                try:
-                    candidate.unlink()
-                except OSError:  # pragma: no cover - concurrent cleanup
-                    pass
+            try:
+                generations[index].unlink()
+            except OSError:  # pragma: no cover - concurrent cleanup
+                pass
         referenced: set[str] = set()
         for index in retained:
-            for kind, candidate in generations[index]:
-                if kind != "manifest":
-                    continue
-                try:
-                    manifest = json.loads(candidate.read_text(encoding="utf-8"))
-                    for info in manifest.get("tables", {}).values():
-                        referenced.add(str(info["file"]))
-                # an unreadable retained manifest means we cannot know
-                # what it references: skip GC entirely rather than
-                # risk deleting a table file it still needs
-                # itag-lint: disable=except-hygiene
-                except Exception:
-                    return
+            try:
+                manifest = json.loads(generations[index].read_text(encoding="utf-8"))
+                for info in manifest.get("tables", {}).values():
+                    referenced.add(str(info["file"]))
+            # an unreadable retained manifest means we cannot know
+            # what it references: skip GC entirely rather than
+            # risk deleting a table file it still needs
+            # itag-lint: disable=except-hygiene
+            except Exception:
+                return
         for table_file in self._directory.glob("table-*.json"):
             if table_file.name not in referenced:
                 try:

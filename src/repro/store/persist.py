@@ -1,29 +1,25 @@
-"""Persistence helpers: atomic snapshot save/load, CSV export.
+"""Persistence helpers: atomic file writes, CSV export.
 
-Snapshot writes are **atomic**: the payload goes to a temp file in the
-target directory, is fsynced, and is moved over the destination with
-``os.replace`` (plus a best-effort directory fsync).  A crash mid-save
-therefore leaves the previous snapshot intact instead of a truncated
-half-written file — which is what makes persist-then-truncate
+Writes are **atomic**: the payload goes to a temp file in the target
+directory, is fsynced, and is moved over the destination with
+``os.replace`` (plus a best-effort directory fsync).  A crash mid-write
+therefore leaves the previous file intact instead of a truncated
+half-written one — which is what makes persist-then-truncate
 checkpointing safe (see ``Database.checkpoint``).
 """
 
 from __future__ import annotations
 
 import csv
-import gzip
 import json
 import os
 from pathlib import Path
 from typing import Any
 
 from .database import Database
-from .errors import StoreError
 from .wal import fsync_directory as _fsync_directory
 
 __all__ = [
-    "save_database",
-    "load_database",
     "export_table_csv",
     "write_text_atomic",
     "write_bytes_atomic",
@@ -46,33 +42,6 @@ def write_bytes_atomic(path: str | Path, payload: bytes) -> Path:
 
 def write_text_atomic(path: str | Path, payload: str) -> Path:
     return write_bytes_atomic(path, payload.encode("utf-8"))
-
-
-def save_database(database: Database, path: str | Path) -> Path:
-    """Write a full snapshot as JSON (gzip if the suffix is ``.gz``),
-    atomically."""
-    path = Path(path)
-    payload = json.dumps(database.to_snapshot(), sort_keys=True)
-    if path.suffix == ".gz":
-        return write_bytes_atomic(path, gzip.compress(payload.encode("utf-8")))
-    return write_text_atomic(path, payload)
-
-
-def load_database(path: str | Path) -> Database:
-    """Load a snapshot written by :func:`save_database`."""
-    path = Path(path)
-    if not path.exists():
-        raise StoreError(f"no database snapshot at {path}")
-    if path.suffix == ".gz":
-        with gzip.open(path, "rt", encoding="utf-8") as handle:
-            payload = handle.read()
-    else:
-        payload = path.read_text(encoding="utf-8")
-    try:
-        snapshot = json.loads(payload)
-    except json.JSONDecodeError as exc:
-        raise StoreError(f"corrupt database snapshot at {path}: {exc}") from exc
-    return Database.from_snapshot(snapshot)
 
 
 def export_table_csv(database: Database, table_name: str, path: str | Path) -> Path:

@@ -27,8 +27,7 @@ is created, so a record in segment N+1 proves segment N is complete
 and durable — which is why a tear in a non-final segment is interior
 corruption, never a crash artifact.  Checkpoint pruning then unlinks
 whole covered segments (O(segments dropped)); the live suffix is never
-rewritten.  A log that is still a single regular file (the pre-segment
-layout) is migrated into a one-segment directory on open.
+rewritten.
 
 Writes go through a **group-commit pipeline** over one persistent
 buffered append handle: concurrent committers enqueue encoded records
@@ -257,13 +256,13 @@ class WriteAheadLog:
     """Commit-scoped append log over a segment directory, with group
     commit.
 
-    ``path`` is the log directory (a pre-segment single-file log at the
-    same path is migrated in place).  The constructor scans the
-    segments in order, repairs a torn tail in the final segment in
-    place (truncates to the last intact record; set ``repair=False``
-    for read-only inspection), and keeps the append handle on the
-    active segment open for the log's lifetime — appends never reopen
-    the file.
+    ``path`` is the log directory; a regular file there is refused
+    (``mkdir`` raises) before anything is written.  The constructor
+    scans the segments in order, repairs a torn tail in the final
+    segment in place (truncates to the last intact record; set
+    ``repair=False`` for read-only inspection), and keeps the append
+    handle on the active segment open for the log's lifetime — appends
+    never reopen the file.
     """
 
     def __init__(
@@ -290,7 +289,6 @@ class WriteAheadLog:
         self.rotations = 0
         self.segments_dropped = 0
 
-        self._migrate_legacy_file()
         self.path.mkdir(parents=True, exist_ok=True)
         self._segments = self._discover_segments()
         records = self._scan_and_repair(repair)
@@ -346,18 +344,6 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     # segment discovery / initial scan
     # ------------------------------------------------------------------
-
-    def _migrate_legacy_file(self) -> None:
-        """Turn a pre-segment single-file log into a one-segment
-        directory (rename aside, mkdir, move in as segment 1)."""
-        if not self.path.is_file():
-            return
-        aside = self.path.with_name(self.path.name + ".migrate")
-        os.replace(self.path, aside)
-        self.path.mkdir()
-        os.replace(aside, self.path / _segment_name(1))
-        fsync_directory(self.path)
-        fsync_directory(self.path.parent)
 
     def _discover_segments(self) -> list[_Segment]:
         found: list[_Segment] = []

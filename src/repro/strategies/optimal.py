@@ -35,6 +35,9 @@ class OracleGreedy(Strategy):
     Uses a lazy heap: entries carry the post count they were computed
     at; stale entries are recomputed on pop.  Gains are non-increasing
     in k, so a fresh value never beats an un-popped stale one unfairly.
+    The heap ranks every resource of the corpus; entries of stopped
+    resources popped by a pick are set aside and pushed back before
+    :meth:`choose` returns, so a resumed resource is ranked again.
     """
 
     name = "optimal"
@@ -46,7 +49,7 @@ class OracleGreedy(Strategy):
 
     def _initialize(self, context: AllocationContext) -> None:
         self._heap = []
-        for resource_id in context.eligible_ids():
+        for resource_id in context.corpus.resource_ids():
             k = context.post_count(resource_id)
             gain = self.gain_model.gain(resource_id, k)
             heapq.heappush(self._heap, (-gain, resource_id, k))
@@ -60,11 +63,14 @@ class OracleGreedy(Strategy):
         # Track within-batch increments so a batch of size > 1 accounts
         # for its own effect on marginal gains.
         pending: dict[int, int] = {}
+        stopped: list[tuple[float, int, int]] = []
         while len(chosen) < count:
             if not self._heap:
                 raise StrategyError("optimal strategy ran out of heap entries")
-            neg_gain, resource_id, at_k = heapq.heappop(self._heap)
+            entry = heapq.heappop(self._heap)
+            neg_gain, resource_id, at_k = entry
             if resource_id not in context.eligible:
+                stopped.append(entry)
                 continue
             current_k = context.post_count(resource_id) + pending.get(resource_id, 0)
             if at_k != current_k:
@@ -75,6 +81,8 @@ class OracleGreedy(Strategy):
             pending[resource_id] = pending.get(resource_id, 0) + 1
             next_gain = self.gain_model.gain(resource_id, current_k + 1)
             heapq.heappush(self._heap, (-next_gain, resource_id, current_k + 1))
+        for entry in stopped:
+            heapq.heappush(self._heap, entry)
         return chosen
 
     def reset(self) -> None:

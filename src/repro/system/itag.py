@@ -117,10 +117,11 @@ class ITagSystem:
     # ------------------------------------------------------------------
 
     def checkpoint(self) -> dict:
-        """Persist the relational state (incremental generation in a
-        managed ``data_dir`` deployment, in-memory snapshot otherwise)
-        and prune the covered WAL segments.  Returns the managed-mode
-        stats dict — or the raw snapshot when in-memory."""
+        """Persist the relational state as an incremental checkpoint
+        generation in the managed directory and prune the covered WAL
+        segments; returns the stats dict of :meth:`Database.checkpoint`.
+        Raises ``TransactionError`` when the database is in-memory (no
+        ``data_dir``)."""
         return self.database.checkpoint()
 
     def close(self) -> None:
@@ -539,6 +540,10 @@ class ITagSystem:
             runtime.approval_book.record_decision(tagger_id, approved)
             self.users.record_decision(tagger_id, approved=approved)
             runtime.allocation[resource_id] += 1
+            runtime.strategy.observe(
+                runtime.context(row["budget_total"], row["budget_spent"] + 1),
+                resource_id,
+            )
             average = runtime.board.average_quality()
             runtime.tasks_done += 1
             runtime.trajectory.append((runtime.tasks_done, average))

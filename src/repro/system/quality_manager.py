@@ -222,6 +222,9 @@ class QualityManager:
             quality = runtime.board.quality_of(resource_id)
         runtime.approval_book.record_decision(worker.worker_id, approved)
         runtime.allocation[resource_id] += 1
+        runtime.strategy.observe(
+            runtime.context(budget_total, budget_spent + 1), resource_id
+        )
         runtime.tasks_done += 1
         runtime.trajectory.append(
             (runtime.tasks_done, runtime.board.average_quality())

@@ -126,8 +126,7 @@ class SessionReport:
         if self.durability:
             lines.append(
                 "  durability: checkpoint "
-                f"gen {self.durability.get('generation', 0)} "
-                f"({self.durability.get('kind', '?')}) in "
+                f"gen {self.durability.get('generation', 0)} in "
                 f"{self.durability.get('checkpoint_ms', 0.0):.1f} ms, "
                 f"{self.durability.get('tables_rewritten', 0)} rewritten / "
                 f"{self.durability.get('tables_reused', 0)} reused, "
@@ -238,7 +237,6 @@ class SessionDriver:
             wal_stats = database.wal.stats()
             checkpoint_stats = database.checkpoint()
             report.durability = {
-                "kind": checkpoint_stats["kind"],
                 "generation": checkpoint_stats["generation"],
                 "checkpoint_ms": checkpoint_stats["duration_s"] * 1000.0,
                 "tables_rewritten": checkpoint_stats["tables_rewritten"],

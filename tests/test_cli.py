@@ -155,7 +155,7 @@ class TestCommands:
         assert "checkpoint written: checkpoint-000001.manifest.json" in out
         # the first generation retains the full suffix (fallback safety)
         assert "7 -> 7" in out
-        assert "kind: incremental (generation 1" in out
+        assert "generation 1 (wal_lsn 7)" in out
         assert "tables: 1 rewritten, 0 reused of 1" in out
         # recovery loads the checkpoint and replays nothing
         assert main(["store", "recover", "--dir", str(state)]) == 0
@@ -169,26 +169,13 @@ class TestCommands:
         assert "7 -> 0" in out
         assert "tables: 0 rewritten, 1 reused of 1" in out
 
-    def test_store_checkpoint_full_writes_legacy_snapshot(self, tmp_path, capsys):
-        state = self._make_state_dir(tmp_path)
-        assert main(
-            ["store", "checkpoint", "--dir", str(state), "--full", "--stats"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "checkpoint written: checkpoint-000001.json" in out
-        assert "kind: full (generation 1" in out
-        assert main(["store", "recover", "--dir", str(state)]) == 0
-        out = capsys.readouterr().out
-        assert "(full, wal_lsn 7)" in out
-        assert "verify: ok" in out
-
     def test_store_smoke_durable_reports_checkpoint(self, capsys):
         assert main(
             ["store", "smoke", "--readers", "1", "--tasks", "5", "--durable"]
         ) == 0
         out = capsys.readouterr().out
         assert "verdict: consistent" in out
-        assert "durability: checkpoint gen 1 (incremental)" in out
+        assert "durability: checkpoint gen 1 in" in out
         assert "segment(s) live" in out
 
     def test_store_smoke_is_consistent(self, capsys):

@@ -5,9 +5,7 @@ Invariants:
 - budget conservation: Σ x_i == budget_spent <= budget_total, always;
 - stopped resources receive no tasks while stopped;
 - the corpus gains exactly one post per executed task;
-- the engine never crashes while at least one resource stays eligible
-  (but for the optimal strategy's known stop/resume defect, which both
-  twins below must then hit identically);
+- the engine never crashes while at least one resource stays eligible;
 - equivalence: a twin engine running the frozen pre-ranking MU, FP and
   fp-mu code (``legacy_strategies``) makes the same allocation and the
   same trajectory, bit for bit, and both quality boards' maintained
@@ -28,7 +26,6 @@ from legacy_strategies import (
 )
 
 from repro.datasets import make_delicious_like
-from repro.errors import StrategyError
 from repro.quality import AnalyticGain, QualityBoard
 from repro.strategies import (
     STRATEGY_NAMES,
@@ -112,25 +109,10 @@ def _apply(engine: AllocationEngine, op: str, argument: int, resource_id: int, s
         engine.switch_strategy(switch_to)
 
 
-def _apply_both(engine, twin, op, argument, resource_id, switch_to) -> bool:
-    """Apply one operation to both engines; False once they stop.
-
-    The optimal strategy loses the heap entries of resources popped
-    while stopped, so after stop/resume it can run dry with resources
-    still eligible (a known defect, CHANGES.md).  Both engines must
-    then fail with the same error; any other error fails the test.
-    """
-    errors = []
+def _apply_both(engine, twin, op, argument, resource_id, switch_to) -> None:
+    """Apply one operation to both engines; any error fails the test."""
     for target, strategy in ((engine, switch_to[0]), (twin, switch_to[1])):
-        try:
-            _apply(target, op, argument, resource_id, strategy)
-            errors.append(None)
-        except StrategyError as exc:
-            if "ran out of heap entries" not in str(exc):
-                raise
-            errors.append(str(exc))
-    assert errors[0] == errors[1]
-    return errors[0] is None
+        _apply(target, op, argument, resource_id, strategy)
 
 
 @given(st.sampled_from(STRATEGY_NAMES), st.integers(min_value=1, max_value=3), _ops)
@@ -151,8 +133,7 @@ def test_engine_invariants_under_any_control_sequence(name, batch_size, ops):
         if op == "stop" and len(stopped | {resource_id}) == len(ids):
             continue  # keep one eligible
         switch_to = _strategy_pair(STRATEGY_NAMES[argument % len(STRATEGY_NAMES)])
-        if not _apply_both(engine, twin, op, argument, resource_id, switch_to):
-            return
+        _apply_both(engine, twin, op, argument, resource_id, switch_to)
         if op in ("promote", "resume"):
             stopped.discard(resource_id)
         elif op == "stop" and resource_id not in stopped:
@@ -172,10 +153,10 @@ def test_engine_invariants_under_any_control_sequence(name, batch_size, ops):
     # Invariant: every executed task added exactly one post.
     assert corpus.total_posts() == posts_before + len(executed)
     assert len(executed) == engine._budget_spent
-    if _apply_both(engine, twin, "run", 0, ids[0], (None, None)):
-        assert engine._allocation == twin._allocation
-        assert engine._trajectory == twin._trajectory
-        engine.board.verify()
+    _apply_both(engine, twin, "run", 0, ids[0], (None, None))
+    assert engine._allocation == twin._allocation
+    assert engine._trajectory == twin._trajectory
+    engine.board.verify()
 
 
 @given(st.integers(min_value=0, max_value=60))

@@ -1,4 +1,4 @@
-"""Unit tests: database DDL, snapshots, persistence."""
+"""Unit tests: database DDL, snapshots, CSV export."""
 
 import pytest
 
@@ -10,11 +10,8 @@ from repro.store import (
     Eq,
     Query,
     Schema,
-    StoreError,
     UnknownTableError,
     export_table_csv,
-    load_database,
-    save_database,
 )
 
 
@@ -84,28 +81,6 @@ class TestSnapshots:
         database = self.build()
         clone = Database.from_snapshot(database.to_snapshot())
         assert clone.table("t").insert({"name": "c"}) == 3
-
-    def test_save_load_json(self, tmp_path):
-        database = self.build()
-        path = save_database(database, tmp_path / "db.json")
-        loaded = load_database(path)
-        assert list(loaded.table("t").scan()) == list(database.table("t").scan())
-
-    def test_save_load_gzip(self, tmp_path):
-        database = self.build()
-        path = save_database(database, tmp_path / "db.json.gz")
-        loaded = load_database(path)
-        assert len(loaded.table("t")) == 2
-
-    def test_load_missing_raises(self, tmp_path):
-        with pytest.raises(StoreError, match="no database snapshot"):
-            load_database(tmp_path / "nope.json")
-
-    def test_load_corrupt_raises(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json", encoding="utf-8")
-        with pytest.raises(StoreError, match="corrupt"):
-            load_database(path)
 
     def test_verify_cross_checks_plan_caches(self):
         """Database.verify() covers cached-plan metadata, not just

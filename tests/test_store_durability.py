@@ -9,6 +9,8 @@ never an aborted change, never an exception.
 
 from __future__ import annotations
 
+import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -22,8 +24,7 @@ from repro.store import (
     DataType,
     Schema,
     StoreError,
-    load_database,
-    save_database,
+    TransactionError,
 )
 
 
@@ -43,6 +44,15 @@ def open_with_items(directory, **kwargs) -> Database:
     if not database.has_table("items"):
         database.create_table("items", item_schema())
     return database
+
+
+def file_tree(directory: Path) -> dict[str, bytes | None]:
+    """Every path under ``directory`` with its bytes (None for a
+    directory), to show that a refused open touched nothing."""
+    return {
+        str(path.relative_to(directory)): path.read_bytes() if path.is_file() else None
+        for path in sorted(directory.rglob("*"))
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +239,6 @@ class TestCheckpointAtomicity:
             table.insert({"value": f"round-{round_number}"})
             lsn_before = database.wal.sequence
             stats = database.checkpoint()
-            assert stats["kind"] == "incremental"
             assert stats["tables_rewritten"] == 1  # "items" is dirty
             # records above the *previous* generation's lsn survive
             kept = [record.lsn for record in database.wal.records()]
@@ -286,8 +295,6 @@ class TestCheckpointAtomicity:
         recovered.close()
 
     def test_checkpoint_inside_transaction_rejected(self, tmp_path):
-        from repro.store import TransactionError
-
         database = open_with_items(tmp_path / "state")
         with pytest.raises(TransactionError, match="checkpoint inside"):
             with database.transaction():
@@ -297,12 +304,18 @@ class TestCheckpointAtomicity:
     def test_checkpoint_after_close_rejected(self, tmp_path):
         """A snapshot stamped with an unknown (zero) wal_lsn would make
         recovery replay the full retained log over it."""
-        from repro.store import TransactionError
-
         database = open_with_items(tmp_path / "state")
         database.table("items").insert({"value": "a"})
         database.close()
         with pytest.raises(TransactionError, match="closed durable database"):
+            database.checkpoint()
+
+    def test_in_memory_checkpoint_rejected(self):
+        """Without a managed directory there is nowhere to persist a
+        generation; the image is to_snapshot()'s job."""
+        database = Database("d")
+        database.create_table("items", item_schema())
+        with pytest.raises(TransactionError, match="managed durability directory"):
             database.checkpoint()
 
     def test_table_ddl_inside_transaction_rejected(self, tmp_path):
@@ -310,8 +323,6 @@ class TestCheckpointAtomicity:
         transaction it journaled *before* the commit record — a
         committed drop_table+insert log replayed out of order and made
         the directory permanently unrecoverable."""
-        from repro.store import TransactionError
-
         database = open_with_items(tmp_path / "state")
         table = database.table("items")
         with pytest.raises(TransactionError, match="not supported"):
@@ -347,7 +358,6 @@ class TestIncrementalCheckpoints:
         state = tmp_path / "state"
         database = self._two_tables(state)
         stats = database.checkpoint()
-        assert stats["kind"] == "incremental"
         assert stats["generation"] == 1
         assert (stats["tables_rewritten"], stats["tables_reused"]) == (2, 0)
 
@@ -362,7 +372,6 @@ class TestIncrementalCheckpoints:
         database.close()
 
         recovered = Database.open(state, fsync="never")
-        assert recovered.recovery.checkpoint_kind == "manifest"
         assert recovered.recovery.checkpoint_generation == 2
         assert recovered.recovery.checkpoint_table_files == 2
         assert recovered.recovery.records_replayed == 0
@@ -377,32 +386,6 @@ class TestIncrementalCheckpoints:
         assert (stats["tables_rewritten"], stats["tables_reused"]) == (0, 2)
         assert stats["bytes_written"] > 0  # the manifest itself
         database.close()
-
-    def test_full_checkpoint_interops_with_manifests(self, tmp_path):
-        state = tmp_path / "state"
-        database = self._two_tables(state)
-        stats = database.checkpoint(full=True)
-        assert stats["kind"] == "full"
-        assert (state / "checkpoint-000001.json").exists()
-        # a full snapshot leaves no per-table files to reuse: the next
-        # incremental generation rewrites everything
-        stats = database.checkpoint()
-        assert (stats["tables_rewritten"], stats["tables_reused"]) == (2, 0)
-        expected = database.to_snapshot()["tables"]
-        database.close()
-
-        recovered = Database.open(state, fsync="never")
-        assert recovered.recovery.checkpoint_kind == "manifest"
-        assert recovered.to_snapshot()["tables"] == expected
-        recovered.close()
-
-        # corrupting the newest manifest falls back to the full file
-        newest = state / "checkpoint-000002.manifest.json"
-        newest.write_text("{broken", encoding="utf-8")
-        recovered = Database.open(state, fsync="never")
-        assert recovered.recovery.checkpoint_kind == "full"
-        assert recovered.to_snapshot()["tables"] == expected
-        recovered.close()
 
     def test_unreferenced_table_files_are_garbage_collected(self, tmp_path):
         state = tmp_path / "state"
@@ -561,6 +544,34 @@ class TestRecovery:
         assert recovered.table("items").insert({"value": "c"}) == 3
         recovered.close()
 
+    @pytest.mark.parametrize("layout", ["full-checkpoint", "single-file-wal"])
+    def test_legacy_layout_fails_closed(self, tmp_path, layout):
+        """Older layouts are refused before any file is touched: a
+        single-file checkpoint-NNNNNN.json snapshot (the WAL below its
+        wal_lsn may already be pruned, so skipping it would lose
+        committed rows) and a single-file wal.log."""
+        state = tmp_path / "state"
+        database = open_with_items(state)
+        database.table("items").insert({"value": "a"})
+        snapshot = dict(database.to_snapshot(), wal_lsn=database.wal.sequence)
+        database.close()
+        if layout == "full-checkpoint":
+            legacy = "checkpoint-000001.json"
+            (state / legacy).write_text(json.dumps(snapshot), encoding="utf-8")
+        else:
+            legacy = "wal.log"
+            log = state / legacy
+            segments = sorted(log.glob("wal-*.log"))
+            raw = b"".join(segment.read_bytes() for segment in segments)
+            for segment in segments:
+                segment.unlink()
+            log.rmdir()
+            log.write_bytes(raw)
+        before = file_tree(state)
+        with pytest.raises(StoreError, match=re.escape(legacy)):
+            Database.open(state, fsync="never")
+        assert file_tree(state) == before
+
     def test_reopen_after_recovery_continues_journaling(self, tmp_path):
         database = open_with_items(tmp_path / "state")
         database.table("items").insert({"value": "a"})
@@ -571,39 +582,3 @@ class TestRecovery:
         third = Database.open(tmp_path / "state", fsync="never")
         assert sorted(r["value"] for r in third.table("items").scan()) == ["a", "b"]
         third.close()
-
-
-# ---------------------------------------------------------------------------
-# atomic snapshot writes (save_database)
-# ---------------------------------------------------------------------------
-
-class TestAtomicSave:
-    def test_failed_save_preserves_previous_snapshot(self, tmp_path, monkeypatch):
-        database = Database("d")
-        database.create_table("items", item_schema())
-        database.table("items").insert({"value": "original"})
-        target = tmp_path / "db.json"
-        save_database(database, target)
-
-        database.table("items").insert({"value": "newer"})
-        monkeypatch.setattr(
-            "repro.store.persist.os.replace",
-            lambda src, dst: (_ for _ in ()).throw(OSError("simulated crash")),
-        )
-        with pytest.raises(OSError, match="simulated crash"):
-            save_database(database, target)
-        monkeypatch.undo()
-
-        loaded = load_database(target)
-        assert [row["value"] for row in loaded.table("items").scan()] == ["original"]
-
-    def test_gzip_roundtrip_still_works(self, tmp_path):
-        database = Database("d")
-        database.create_table("items", item_schema())
-        database.table("items").insert({"value": "z"})
-        path = save_database(database, tmp_path / "db.json.gz")
-        assert len(load_database(path).table("items")) == 1
-
-    def test_load_missing_still_raises(self, tmp_path):
-        with pytest.raises(StoreError, match="no database snapshot"):
-            load_database(tmp_path / "nope.json")

@@ -175,7 +175,7 @@ class TestCommitScopedRecords:
         database.attach_wal(wal)
         table = database.table("items")
         table.insert({"value": "pre"})
-        snapshot = database.checkpoint()
+        snapshot = database.to_snapshot()
         table.insert({"value": "post"})
         database.close()
 
@@ -333,7 +333,8 @@ class TestTornTails:
 
     def test_empty_file_is_fine(self, tmp_path):
         path = tmp_path / "db.wal"
-        path.touch()
+        path.mkdir()
+        (path / "wal-000001.log").touch()
         wal = WriteAheadLog(path)
         assert wal.records() == []
         assert wal.torn_tail is None
@@ -393,27 +394,26 @@ class TestSegmentRotation:
         database.table("items").insert({"value": "later"})
         assert wal.records()[0].lsn == 4
 
-    def test_legacy_single_file_log_migrates_to_a_segment_directory(self, tmp_path):
+    def test_single_file_log_is_refused_unchanged(self, tmp_path):
+        """The pre-segment layout (one regular file at the log path) is
+        not read: opening fails at mkdir, before anything is written."""
         path = tmp_path / "db.wal"
         database = make_database()
         wal = WriteAheadLog(path, fsync="never")
         database.attach_wal(wal)
         database.table("items").insert({"value": "old-layout"})
         database.close()
-        # simulate the pre-segment layout: collapse the directory back
-        # into a single regular file at the same path
+        # collapse the directory back into a single regular file
         raw = b"".join(seg.read_bytes() for seg in segment_files(path))
         for seg in segment_files(path):
             seg.unlink()
         path.rmdir()
         path.write_bytes(raw)
 
-        reopened = WriteAheadLog(path, fsync="never")
-        assert path.is_dir()
-        assert [seg.name for seg in segment_files(path)] == ["wal-000001.log"]
-        records = reopened.records()
-        assert len(records) == 1
-        assert records[0].changes[0][3]["value"] == "old-layout"
+        with pytest.raises(FileExistsError):
+            WriteAheadLog(path, fsync="never")
+        assert path.read_bytes() == raw
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestFsyncPolicies:
@@ -508,7 +508,9 @@ class TestTransactionFootprints:
         payload = {"lsn": 1, "txn": [["insert", "items", 1, {"id": 1, "value": "x", "score": None}]]}
         body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
         crc = zlib.crc32(body) & 0xFFFFFFFF
-        (tmp_path / "db.wal").write_bytes(b"%08x " % crc + body + b"\n")
+        (tmp_path / "db.wal").mkdir()
+        segment = tmp_path / "db.wal" / "wal-000001.log"
+        segment.write_bytes(b"%08x " % crc + body + b"\n")
         wal = WriteAheadLog(tmp_path / "db.wal", fsync="never")
         records = wal.records()
         assert len(records) == 1
@@ -530,7 +532,9 @@ class TestTransactionFootprints:
         }
         body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
         crc = zlib.crc32(body) & 0xFFFFFFFF
-        (tmp_path / "db.wal").write_bytes(b"%08x " % crc + body + b"\n")
+        (tmp_path / "db.wal").mkdir()
+        segment = tmp_path / "db.wal" / "wal-000001.log"
+        segment.write_bytes(b"%08x " % crc + body + b"\n")
         wal = WriteAheadLog(tmp_path / "db.wal", fsync="never")
         recovered = make_database()
         with pytest.raises(WalError, match="footprint"):

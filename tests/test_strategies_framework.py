@@ -172,6 +172,59 @@ class TestOracleGreedyOnline:
         result = engine.run()
         assert result.allocation[victim] == 0
 
+    def test_resumed_resources_are_ranked_again(self, small_data, small_data_copy):
+        """Heap entries of stopped resources popped on the way to a
+        pick go back on the heap.  Step, stop all but the lowest-gain
+        resource, step, resume the others and stop that one: the next
+        step picks the best resumed resource instead of running dry."""
+        gain = AnalyticGain(
+            small_data.dataset.oracle_targets(), small_data.dataset.mean_post_size
+        )
+        engine = make_engine(
+            small_data, small_data_copy, budget=20, strategy=OracleGreedy(gain)
+        )
+        ids = small_data_copy.resource_ids()
+        picks = []
+        engine.on_task(lambda resource_id, _spent: picks.append(resource_id))
+
+        def rank(resource_id):
+            """The heap's order: highest current gain first, then lowest id."""
+            k = small_data_copy.resource(resource_id).n_posts
+            return (-gain.gain(resource_id, k), resource_id)
+
+        engine.step(1)
+        lowest = max(ids, key=rank)
+        others = [resource_id for resource_id in ids if resource_id != lowest]
+        for resource_id in others:
+            engine.stop(resource_id)
+        engine.step(1)
+        for resource_id in others:
+            engine.resume(resource_id)
+        engine.stop(lowest)
+        best = min(others, key=rank)
+        assert engine.step(1) == 1
+        assert picks[-1] == best
+
+    def test_resource_stopped_before_the_first_pick_is_ranked(
+        self, small_data, small_data_copy
+    ):
+        gain = AnalyticGain(
+            small_data.dataset.oracle_targets(), small_data.dataset.mean_post_size
+        )
+        engine = make_engine(
+            small_data, small_data_copy, budget=20, strategy=OracleGreedy(gain)
+        )
+        ids = small_data_copy.resource_ids()
+        picks = []
+        engine.on_task(lambda resource_id, _spent: picks.append(resource_id))
+        engine.stop(ids[0])
+        engine.step(1)
+        engine.resume(ids[0])
+        for resource_id in ids[1:]:
+            engine.stop(resource_id)
+        assert engine.step(1) == 1
+        assert picks == [picks[0], ids[0]]
+
     def test_reset_reinitializes(self, small_data, small_data_copy):
         gain = AnalyticGain(
             small_data.dataset.oracle_targets(), small_data.dataset.mean_post_size

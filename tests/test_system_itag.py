@@ -161,6 +161,33 @@ class TestTaggerApi:
             system.submit_post(project, tagger, 1, [0])
 
 
+class TestStrategyFeedback:
+    def test_every_system_task_reaches_the_strategy(self):
+        """Both system task paths call ``Strategy.observe``, so
+        adaptive refits on its schedule: with ``refit_every=25``, 150
+        tasks refit at tasks 1, 26, 51, 76, 101 and 126, as in the
+        engine, and a tagger's post counts as a task too."""
+        data = make_delicious_like(
+            n_resources=50, initial_posts_total=300, master_seed=11, population_size=25
+        )
+        system = ITagSystem(master_seed=11)
+        provider = system.register_provider("alice")
+        project = system.create_project(
+            provider, "urls", budget=200, strategy="adaptive"
+        )
+        system.upload_resources(project, data.provider_corpus)
+        system.start_project(project, noise_model=data.dataset.noise_model)
+        strategy = system.quality.runtime(project).strategy
+        refits = []
+        refit = strategy._refit
+        strategy._refit = lambda context: refits.append(refit(context))
+        system.run_project(project, tasks=150)
+        assert len(refits) == 6
+        since_fit = strategy._tasks_since_fit
+        system.submit_post(project, system.register_tagger("dana"), 1, [0])
+        assert strategy._tasks_since_fit == since_fit + 1
+
+
 class TestExport:
     def test_json_export(self, campaign, tmp_path):
         _data, system, _provider, project = campaign
