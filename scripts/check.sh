@@ -2,7 +2,7 @@
 # Tier-1 check: the full test suite, the perfbench self-test and an
 # EXP-ST smoke run, so planner/store regressions fail fast with the
 # experiment's own claims
-# (index paths beat scans, planned joins beat materializing hash_join,
+# (index paths beat scans, the join planner picks the documented plans,
 # warm plan cache beats cold planning, group commit beats per-commit
 # fsync, snapshot readers stay untorn, crash recovery matches the
 # committed state), plus durability smokes: crash recovery of a WAL

@@ -10,9 +10,10 @@ any of the gated claims regressed:
   as indexed access paths, not full scans),
 * warm plan cache beating cold planning,
 * maintained O(1) statistics (n_distinct counter, histogram accuracy),
-* the 3-way-join order search beating the written left-deep baseline
-  (so multi-way join ordering can never silently regress below the
-  plans callers would have hand-written),
+* the 3-way-join plan shape: the order search joins the selective
+  relations first and hash-joins the big unindexed table last, with
+  the brute-force row count (so multi-way join ordering can never
+  silently fall back to the caller-written order),
 * cross-transaction group commit: 4 disjoint writers outpacing a
   single writer at fsync=always, and batching their commits under
   shared fsyncs (so per-table locking can never silently fall back to
@@ -49,7 +50,7 @@ GATED_CLAIMS = (
     "warm plan cache beats cold planning",
     "n_distinct is O(1)",
     "sampled histogram matches exact range selectivity",
-    "searched order beats the written left-deep order",
+    "the searched 3-way plan joins the rare categories first",
     "cross-transaction group commit scales",
     "cross-transaction group commit batches concurrent commits",
     "per-row locking scales same-table writers",

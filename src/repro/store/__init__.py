@@ -56,7 +56,6 @@ from .plan import (
     RebindError,
     Sort,
     SortedRange,
-    SortMergeJoin,
     TopK,
     Union,
 )
@@ -78,7 +77,6 @@ from .query import (
     Predicate,
     Query,
     TruePredicate,
-    hash_join,
 )
 from .schema import Column, Schema
 from .stats import EquiWidthHistogram, MostCommonValues
@@ -103,10 +101,10 @@ __all__ = [
     "write_text_atomic", "write_bytes_atomic",
     "Query", "JoinQuery", "Predicate", "TruePredicate",
     "Eq", "Ne", "Lt", "Le", "Gt", "Ge", "In", "Between", "Contains",
-    "And", "Or", "Not", "hash_join",
+    "And", "Or", "Not",
     "Plan", "FullScan", "Empty", "PkLookup", "HashLookup", "IndexIn",
     "SortedRange", "OrderedScan", "TopK", "Intersect", "Union", "Filter",
-    "Sort", "HashJoin", "IndexNestedLoopJoin", "SortMergeJoin",
+    "Sort", "HashJoin", "IndexNestedLoopJoin",
     "PlanCache", "RebindError",
     "JoinGraph", "JoinEdge", "Relation", "plan_join_graph",
     "HashIndex", "SortedIndex", "HashIndexSnapshot", "SortedIndexSnapshot",

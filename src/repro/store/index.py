@@ -450,22 +450,11 @@ class _SortedReadSurface:
         for entry in self._iter_span(start, end):
             yield entry[1].pk
 
-    def iter_items(
-        self,
-        low: Any = None,
-        high: Any = None,
-        *,
-        include_low: bool = True,
-        include_high: bool = True,
-    ) -> Iterator[tuple[Any, Any]]:
-        """Stream ``(value, pk)`` pairs of a range in key order.
-
-        The merge iterator behind :class:`~repro.store.plan.SortMergeJoin`:
-        two of these streams, one per side, merge without ever building a
-        hash table.  NULL-valued rows live in the side set, so they never
-        appear here (SQL equi-joins never match NULL anyway).
-        """
-        start, end = self._span_points(low, high, include_low, include_high)
+    def iter_items(self) -> Iterator[tuple[Any, Any]]:
+        """Stream every ``(value, pk)`` entry in key order (NULL-valued
+        rows live in the side set and never appear): the full read-back
+        that equivalence checks compare against an oracle."""
+        start, end = self._span_points(None, None, True, True)
         for value, pk_key in self._iter_span(start, end):
             yield value, pk_key.pk
 

@@ -1,25 +1,25 @@
-"""Multi-way join ordering: a join graph compiled to the cheapest tree.
+"""Multi-way join ordering: a join graph compiled to the cheapest
+left-deep plan.
 
-``Query.join(...).join(...)`` no longer nests binary plans in whatever
+``Query.join(...).join(...)`` does not nest binary plans in whatever
 order the caller wrote them.  It accumulates a :class:`JoinGraph` —
 relations, equi-join edges, pushed-down per-relation predicates — and
-this module searches join *orders*:
+this module picks the join *order* and one physical operator per step.
+
+One candidate generator prices every way to fold a relation into a
+partial plan: an index nested-loop join, or a hash join built on
+either input.  Two order strategies fold relations in with it:
 
 * **DP over subsets** (≤ :data:`MAX_DP_RELATIONS` reorderable
-  relations): classic dynamic programming on connected relation
-  subsets.  Left-deep extensions consider every physical operator
-  (index nested-loop, sort-merge, hash with either side as build);
-  subsets of four or more relations also consider **bushy** partitions
-  (hash-joining two already-joined streams), so the chosen tree is not
-  constrained to a left-deep chain.
-* **Greedy** (above the DP cutoff): start from the cheapest relation,
-  repeatedly fold in the connected relation with the cheapest join op.
-  O(n²) instead of O(3ⁿ), same cost model.
-* **Written order** (fallback): when output column names collide
-  across relations (so result columns would change meaning under
-  reordering) or an inner edge references the null-supplying side of a
-  left-outer join, the caller-written left-deep order is kept and only
-  the physical operator per step is chosen.
+  relations): dynamic programming on connected relation subsets, each
+  subset's plan extending a smaller subset's plan by one relation.
+* **Written order**: the caller-written order, with only the operator
+  per step chosen.  It serves graphs whose order is pinned — output
+  column names that collide across relations (reordering would change
+  which relation wins the collision), an inner edge that references
+  the null-supplying side of a left-outer join, or more reorderable
+  relations than the DP cutoff — and appends the left-outer tail
+  after the DP has ordered the inner core.
 
 Cost model.  Cardinalities come from the same statistics the
 single-table planner uses — access-plan estimates (index
@@ -29,19 +29,15 @@ inputs, and ``|L| · |R| / max(ndv(L.k), ndv(R.k))`` for join output
 when unindexed).  Operator costs:
 
 * index nested-loop: ``card(probe) · (1 + avg matches per probe)``,
-* sort-merge: one pass over each sorted-index span (no build table),
 * hash: ``card(probe) + HASH_BUILD_FACTOR · card(build)`` — building
-  a bucket table costs more per row than streaming through one.
+  a bucket table costs more per row than streaming through one, so the
+  cheaper build is always over the smaller input.
 
 Ordering contracts.  A root query with ``order_by`` pins relation 0
-first and restricts the search to order-preserving operators (index
-nested-loop, hash with the build on the right), exactly the guarantee
-the binary planner made — with one **interesting-order** exception:
-a sort-merge join whose merge key *is* the requested (ascending)
-order column produces its output already ordered, so the candidate
-survives the pinning and the plan needs no sort node at all (the
-chosen plan reports it via ``info["interesting_order"]``, surfaced by
-``explain()``).  Left-outer (null-supplying) relations are
+first and restricts every step to order-preserving operators (index
+nested-loop, hash with the build on the right).  A hash join built on
+the partial plan streams the new relation instead, so its rows follow
+that relation's order.  Left-outer (null-supplying) relations are
 never reordered across their preserved side: the inner core is
 ordered freely, then outer relations are appended in written order.
 
@@ -52,20 +48,12 @@ owns the fluent API and the join plan cache.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from .errors import QueryError
-from .plan import (
-    Filter,
-    HashJoin,
-    IndexNestedLoopJoin,
-    Plan,
-    Sort,
-    SortedRange,
-    SortMergeJoin,
-)
-from .types import DataType
+from .plan import Filter, HashJoin, IndexNestedLoopJoin, Plan, Sort
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .query import Predicate
@@ -75,20 +63,12 @@ __all__ = [
     "MAX_DP_RELATIONS", "HASH_BUILD_FACTOR",
 ]
 
-#: DP over subsets up to this many reorderable relations; greedy above.
+#: DP over subsets up to this many reorderable relations; written
+#: order above.
 MAX_DP_RELATIONS = 6
 
 #: Building a hash table costs this much more per row than probing it.
-#: Keeps sort-merge (no build table) preferred over a hash join of the
-#: same two sorted streams, without disturbing the nested-loop-vs-hash
-#: crossover the binary planner established.
 HASH_BUILD_FACTOR = 1.25
-
-#: Sorted-index columns of these declared types compare safely against
-#: each other mid-merge (TEXT only against TEXT).
-_NUMERIC_TYPES = frozenset(
-    {DataType.INT, DataType.FLOAT, DataType.TIMESTAMP, DataType.BOOL}
-)
 
 
 @dataclass
@@ -129,14 +109,13 @@ class JoinGraph:
         relations: list[Relation],
         edges: list[JoinEdge],
         *,
-        order_column: str | None = None,
-        order_descending: bool = False,
+        ordered: bool = False,
     ) -> None:
         self.relations = relations
         self.edges = edges
-        #: the root query's ordering, which pins relation 0 first
-        self.order_column = order_column
-        self.order_descending = order_descending
+        #: the root query has an ``order_by``, which pins relation 0
+        #: first and every step to order-preserving operators
+        self.ordered = ordered
 
     # ------------------------------------------------------------------
 
@@ -170,17 +149,6 @@ class JoinGraph:
             if edge.right == position and edge.left in joined:
                 return edge
             if edge.left == position and edge.right in joined:
-                return edge
-        return None
-
-    def edge_across(self, left_set: frozenset, right_set: frozenset) -> JoinEdge | None:
-        """An inner edge with one endpoint in each set, if any."""
-        for edge in self.edges:
-            if edge.how != "inner":
-                continue
-            if edge.left in left_set and edge.right in right_set:
-                return edge
-            if edge.right in left_set and edge.left in right_set:
                 return edge
         return None
 
@@ -234,51 +202,8 @@ def _join_cardinality(
     return card
 
 
-def _sorted_side(
-    relation: Relation, column: str, index: Any
-) -> "tuple[SortedRange, Predicate | None]":
-    """A sort-merge input over ``relation``'s join-column index.
-
-    When the relation's whole pushed-down predicate is a single range
-    leaf on the join column, it becomes merge *bounds* (pruning both
-    the scan and the comparisons); anything else stays a residual
-    filter applied mid-merge.
-    """
-    from .query import Between, Ge, Gt, Le, Lt  # circular-import guard
-
-    predicate = relation.predicate
-    table = relation.table
-    if isinstance(predicate, Between):
-        if predicate.column == column and predicate.low is not None and predicate.high is not None:
-            side = SortedRange(table, column, index, predicate.low, predicate.high)
-            side.source = predicate
-            return side, None
-    elif isinstance(predicate, (Lt, Le, Gt, Ge)):
-        if predicate.column == column and predicate.value is not None:
-            if isinstance(predicate, Lt):
-                side = SortedRange(table, column, index, high=predicate.value, include_high=False)
-            elif isinstance(predicate, Le):
-                side = SortedRange(table, column, index, high=predicate.value)
-            elif isinstance(predicate, Gt):
-                side = SortedRange(table, column, index, low=predicate.value, include_low=False)
-            else:
-                side = SortedRange(table, column, index, low=predicate.value)
-            side.source = predicate
-            return side, None
-    return SortedRange(table, column, index), predicate
-
-
-def _mergeable_types(left_relation: Relation, left_column: str,
-                     right_relation: Relation, right_column: str) -> bool:
-    left_type = left_relation.table.schema.column(left_column).dtype
-    right_type = right_relation.table.schema.column(right_column).dtype
-    if left_type in _NUMERIC_TYPES and right_type in _NUMERIC_TYPES:
-        return True
-    return left_type is DataType.TEXT and right_type is DataType.TEXT
-
-
 # ----------------------------------------------------------------------
-# search state
+# candidates
 # ----------------------------------------------------------------------
 
 
@@ -289,25 +214,19 @@ class _Candidate:
     cost: float
     card: float
     plan: Plan
-    order: tuple[int, ...]  # join sequence, for explain and tie-breaks
-    renamed: bool  # True once rows carry prefixed (combined) names
-    #: True when this plan's output already arrives in the root
-    #: order_by order via a sort-merge over relation 0 (an "interesting
-    #: order": the ordering fell out of the join, no sort node needed);
-    #: order-preserving extensions keep the flag
-    interesting_order: bool = False
+    order: tuple[int, ...]  # join sequence, for explain
 
     def key_for(self, graph: JoinGraph, position: int, column: str) -> str:
         """The name ``column`` of relation ``position`` carries in this
-        candidate's output rows."""
-        if self.renamed:
+        candidate's output rows (joined rows carry prefixed names)."""
+        if len(self.order) > 1:
             return f"{graph.relations[position].prefix}{column}"
         return column
 
     def prefix(self, graph: JoinGraph) -> str:
         """The rename this candidate's rows still need (none once the
         rows are combined)."""
-        if self.renamed:
+        if len(self.order) > 1:
             return ""
         return graph.relations[self.order[0]].prefix
 
@@ -319,55 +238,24 @@ def _oriented(edge: JoinEdge, new_position: int) -> tuple[int, str, str]:
     return edge.right, edge.right_column, edge.left_column
 
 
-def _inlj_candidate(
-    base: _Candidate,
-    relation: Relation,
-    common: dict,
-    card: float,
-    order: tuple[int, ...],
-) -> "_Candidate | None":
-    """Index nested-loop candidate (probe the new relation's index per
-    base row), or None when its join column has no probe path.  The
-    single costing used by both the order search and the written-order
-    fallback, so the two paths can never price the operator apart.
-    """
-    new_column = common["right_key"]
-    probe_indexed = (
-        new_column == relation.table.schema.primary_key
-        or relation.table.index_for(new_column) is not None
-    )
-    if not probe_indexed:
-        return None
-    node = IndexNestedLoopJoin(
-        base.plan, relation.table,
-        right_predicate=relation.predicate, **common,
-    )
-    cost = base.cost + base.card * (1.0 + node.avg_matches())
-    return _Candidate(
-        cost, card, node, order, True,
-        interesting_order=base.interesting_order,
-    )
-
-
 def _extension_candidates(
     graph: JoinGraph,
     base: _Candidate,
     addition: _Candidate,
     edge: JoinEdge,
-    how: str,
-    *,
-    order_pinned: bool,
 ) -> "Iterable[_Candidate]":
-    """Every physical way to fold one base relation into a partial plan.
+    """Every physical way to fold one relation into a partial plan.
 
     ``addition`` must be a single-relation candidate.  Yields in
-    preference order — ties in cost keep the first yielded (nested
-    loop, then sort-merge, then hash with either build side).
+    preference order — ties in cost keep the first yielded (index
+    nested-loop, then hash built on the new relation, then hash built
+    on the partial plan).  Of the two hash joins the build on the
+    right is the cheaper iff ``card(addition) <= card(base)``.
     """
     position = addition.order[0]
     relation = graph.relations[position]
     anchor, anchor_column, new_column = _oriented(edge, position)
-    left_key = base.key_for(graph, anchor, anchor_column)
+    how = edge.how
     card = _join_cardinality(
         base.card,
         addition.card,
@@ -375,187 +263,78 @@ def _extension_candidates(
         min(_ndv(relation, new_column), max(addition.card, 1.0)),
         how,
     )
-    right_columns = relation.table.schema.column_names
     common = dict(
-        left_key=left_key, right_key=new_column,
+        left_key=base.key_for(graph, anchor, anchor_column), right_key=new_column,
         prefix_left=base.prefix(graph), prefix_right=relation.prefix,
-        how=how, right_columns=right_columns,
+        how=how, right_columns=relation.table.schema.column_names,
     )
     order = base.order + (position,)
 
     # 1. index nested-loop: probe the new relation's index per row
-    nested_loop = _inlj_candidate(base, relation, common, card, order)
-    if nested_loop is not None:
-        yield nested_loop
-
-    # 2. sort-merge: both join columns sorted-indexed, single base
-    #    relation on the left (its rows must arrive in key order).
-    #    Under a pinned root ordering the candidate survives only when
-    #    it *satisfies* that ordering by itself — anchor is relation 0
-    #    and the merge key is the requested (ascending) order column:
-    #    sort-merge output is ordered by the merge key, so the root
-    #    order_by costs no sort node at all (an interesting order)
-    interesting = (
-        order_pinned
-        and anchor == 0
-        and anchor_column == graph.order_column
-        and not graph.order_descending
-    )
-    if not base.renamed and (not order_pinned or interesting):
-        anchor_relation = graph.relations[anchor]
-        left_index = anchor_relation.table.index_for(anchor_column)
-        right_index = relation.table.index_for(new_column)
-        if (
-            left_index is not None and left_index.kind == "sorted"
-            and right_index is not None and right_index.kind == "sorted"
-            and _mergeable_types(anchor_relation, anchor_column, relation, new_column)
-        ):
-            left_side, left_residual = _sorted_side(
-                anchor_relation, anchor_column, left_index
-            )
-            right_side, right_residual = _sorted_side(
-                relation, new_column, right_index
-            )
-            try:
-                # the estimate probe doubles as a bound-compatibility
-                # check (a type-mismatched bound raises mid-bisect):
-                # such a binding simply has no sort-merge candidate
-                cost = left_side.estimate() + right_side.estimate()
-            except TypeError:
-                cost = None
-            if cost is not None:
-                node = SortMergeJoin(
-                    left_side, right_side,
-                    left_key=anchor_column, right_key=new_column,
-                    prefix_left=anchor_relation.prefix,
-                    prefix_right=relation.prefix,
-                    how=how,
-                    left_predicate=left_residual, right_predicate=right_residual,
-                    right_columns=right_columns,
-                )
-                yield _Candidate(
-                    cost, card, node, order, True,
-                    interesting_order=interesting,
-                )
-
-    # 3a. hash join, build over the new relation (preserves left order)
-    node = HashJoin(
-        base.plan, addition.plan, build_side="right", **common
-    )
-    cost = base.cost + addition.cost + base.card + HASH_BUILD_FACTOR * addition.card
-    yield _Candidate(
-        cost, card, node, order, True,
-        interesting_order=base.interesting_order,
-    )
-
-    # 3b. hash join flipped: stream the new relation, build over the
-    #     partial plan (inner only; breaks left-row order)
-    if how == "inner" and not order_pinned:
-        node = HashJoin(
-            addition.plan, base.plan, build_side="right",
-            left_key=new_column,
-            right_key=left_key,
-            prefix_left=relation.prefix, prefix_right=base.prefix(graph),
-            how="inner", right_columns=(),
+    if (
+        new_column == relation.table.schema.primary_key
+        or relation.table.index_for(new_column) is not None
+    ):
+        node = IndexNestedLoopJoin(
+            base.plan, relation.table,
+            right_predicate=relation.predicate, **common,
         )
+        cost = base.cost + base.card * (1.0 + node.avg_matches())
+        yield _Candidate(cost, card, node, order)
+
+    # 2. hash join, build over the new relation (preserves left order)
+    node = HashJoin(base.plan, addition.plan, build_side="right", **common)
+    cost = base.cost + addition.cost + base.card + HASH_BUILD_FACTOR * addition.card
+    yield _Candidate(cost, card, node, order)
+
+    # 3. hash join, build over the partial plan: rows follow the new
+    #    relation (inner only; breaks left-row order)
+    if how == "inner" and not graph.ordered:
+        node = HashJoin(base.plan, addition.plan, build_side="left", **common)
         cost = base.cost + addition.cost + addition.card + HASH_BUILD_FACTOR * base.card
-        yield _Candidate(cost, card, node, (position,) + base.order, True)
-
-
-def _bushy_candidate(
-    graph: JoinGraph, one: _Candidate, two: _Candidate, edge: JoinEdge
-) -> _Candidate:
-    """Hash-join two already-combined streams (probe the bigger)."""
-    if one.card >= two.card:
-        probe, build = one, two
-    else:
-        probe, build = two, one
-    if edge.left in _positions(probe):
-        probe_end, build_end = (edge.left, edge.left_column), (edge.right, edge.right_column)
-    else:
-        probe_end, build_end = (edge.right, edge.right_column), (edge.left, edge.left_column)
-    node = HashJoin(
-        probe.plan, build.plan, build_side="right",
-        left_key=probe.key_for(graph, *probe_end),
-        right_key=build.key_for(graph, *build_end),
-        prefix_left=probe.prefix(graph), prefix_right=build.prefix(graph),
-        how="inner", right_columns=(),
-    )
-    card = _join_cardinality(
-        probe.card, build.card,
-        min(_ndv(graph.relations[probe_end[0]], probe_end[1]), max(probe.card, 1.0)),
-        min(_ndv(graph.relations[build_end[0]], build_end[1]), max(build.card, 1.0)),
-        "inner",
-    )
-    cost = one.cost + two.cost + probe.card + HASH_BUILD_FACTOR * build.card
-    return _Candidate(cost, card, node, probe.order + build.order, True)
-
-
-def _positions(candidate: _Candidate) -> frozenset:
-    return frozenset(candidate.order)
-
-
-# ----------------------------------------------------------------------
-# search drivers
-# ----------------------------------------------------------------------
+        yield _Candidate(cost, card, node, order)
 
 
 def _pick(best: _Candidate | None, challenger: _Candidate) -> _Candidate:
+    """The cheaper of two candidates; a tie keeps ``best``."""
     if best is None or challenger.cost < best.cost:
         return challenger
     return best
 
 
+# ----------------------------------------------------------------------
+# order strategies
+# ----------------------------------------------------------------------
+
+
 def _search_dp(
-    graph: JoinGraph,
-    base: dict[int, _Candidate],
-    core: list[int],
-    *,
-    order_pinned: bool,
+    graph: JoinGraph, base: dict[int, _Candidate], core: list[int]
 ) -> _Candidate:
-    """Dynamic programming over connected subsets of the core."""
-    dp: dict[frozenset, _Candidate] = {}
-    if order_pinned:
-        dp[frozenset({0})] = base[0]
-    else:
-        for position in core:
-            dp[frozenset({position})] = base[position]
+    """Dynamic programming over connected subsets of the core: each
+    subset's plan folds one relation into the best plan of the rest.
+    An ordered root keeps relation 0 first."""
+    dp: dict[frozenset, _Candidate] = {
+        frozenset({position}): base[position]
+        for position in core
+        if position == 0 or not graph.ordered
+    }
     for size in range(2, len(core) + 1):
         for subset in combinations(core, size):
             state = frozenset(subset)
-            if order_pinned and 0 not in state:
+            if graph.ordered and 0 not in state:
                 continue
             best: _Candidate | None = None
-            for position in subset:  # left-deep: fold one relation in
+            for position in subset:
                 rest = state - {position}
                 partial = dp.get(rest)
-                if partial is None:
-                    continue
                 edge = graph.edge_between(position, rest)
-                if edge is None:
+                if partial is None or edge is None:
                     continue
-                for challenger in _extension_candidates(
-                    graph, partial, base[position], edge, "inner",
-                    order_pinned=order_pinned,
-                ):
-                    best = _pick(best, challenger)
-            if size >= 4 and not order_pinned:  # bushy partitions
-                anchor_member = min(subset)
-                others = [p for p in subset if p != anchor_member]
-                for k in range(1, len(others)):
-                    for group in combinations(others, k):
-                        one_set = frozenset((anchor_member,) + group)
-                        two_set = state - one_set
-                        if len(one_set) < 2 or len(two_set) < 2:
-                            continue
-                        one = dp.get(one_set)
-                        two = dp.get(two_set)
-                        if one is None or two is None:
-                            continue
-                        edge = graph.edge_across(one_set, two_set)
-                        if edge is None:
-                            continue
-                        best = _pick(best, _bushy_candidate(graph, one, two, edge))
+                best = reduce(
+                    _pick,
+                    _extension_candidates(graph, partial, base[position], edge),
+                    best,
+                )
             if best is not None:
                 dp[state] = best
     result = dp.get(frozenset(core))
@@ -564,131 +343,20 @@ def _search_dp(
     return result
 
 
-def _search_greedy(
-    graph: JoinGraph,
-    base: dict[int, _Candidate],
-    core: list[int],
-    *,
-    order_pinned: bool,
-) -> _Candidate:
-    """Cheapest-next-relation fold; O(n²) for wide graphs."""
-    if order_pinned:
-        current = base[0]
-    else:
-        current = min((base[position] for position in core), key=lambda c: (c.card, c.cost))
-    remaining = [p for p in core if p not in current.order]
-    while remaining:
-        best: _Candidate | None = None
-        best_position: int | None = None
-        for position in remaining:
-            edge = graph.edge_between(position, _positions(current))
-            if edge is None:
-                continue
-            for challenger in _extension_candidates(
-                graph, current, base[position], edge, "inner",
-                order_pinned=order_pinned,
-            ):
-                if best is None or challenger.cost < best.cost:
-                    best = challenger
-                    best_position = position
-        if best is None:
-            raise QueryError("join graph is disconnected; add a join edge")
-        current = best
-        remaining.remove(best_position)
-    return current
-
-
-def _fold_written(
-    graph: JoinGraph,
-    base: dict[int, _Candidate],
-    *,
-    order_pinned: bool,
-) -> _Candidate:
-    """Caller-written left-deep order; only the physical op per step is
-    chosen (the legacy binary-planner behaviour, generalized)."""
-    current = base[0]
-    for relation in graph.relations[1:]:
-        edge = graph.edge_between(relation.position, _positions(current))
-        if edge is None and relation.outer:
-            edge = graph.outer_edge_of(relation.position)
-        if edge is None:
-            raise QueryError("join graph is disconnected; add a join edge")
-        how = edge.how
-        best: _Candidate | None = None
-        for challenger in _written_step_candidates(
-            graph, current, base[relation.position], edge, how,
-            order_pinned=order_pinned,
-        ):
-            best = _pick(best, challenger)
-        current = best
-    return current
-
-
-def _written_step_candidates(
-    graph: JoinGraph,
-    current: _Candidate,
-    addition: _Candidate,
-    edge: JoinEdge,
-    how: str,
-    *,
-    order_pinned: bool,
-):
-    """Written-order ops: nested loop, or hash with build-side choice
-    (build over the smaller input; pinned right for outer/ordered
-    joins) — the exact legacy selection, per step."""
-    position = addition.order[0]
-    relation = graph.relations[position]
-    anchor, anchor_column, new_column = _oriented(edge, position)
-    common = dict(
-        left_key=current.key_for(graph, anchor, anchor_column),
-        right_key=new_column,
-        prefix_left=current.prefix(graph), prefix_right=relation.prefix,
-        how=how, right_columns=relation.table.schema.column_names,
-    )
-    card = _join_cardinality(
-        current.card, addition.card,
-        min(_ndv(graph.relations[anchor], anchor_column), max(current.card, 1.0)),
-        min(_ndv(relation, new_column), max(addition.card, 1.0)),
-        how,
-    )
-    order = current.order + (position,)
-    nested_loop = _inlj_candidate(current, relation, common, card, order)
-    if nested_loop is not None:
-        yield nested_loop
-    if how == "left" or order_pinned or addition.card <= current.card:
-        build_side = "right"
-        cost = (
-            current.cost + addition.cost
-            + current.card + HASH_BUILD_FACTOR * addition.card
-        )
-    else:
-        build_side = "left"
-        cost = (
-            current.cost + addition.cost
-            + addition.card + HASH_BUILD_FACTOR * current.card
-        )
-    node = HashJoin(current.plan, addition.plan, build_side=build_side, **common)
-    yield _Candidate(cost, card, node, order, True)
-
-
-def _append_outer(
+def _fold(
     graph: JoinGraph,
     current: _Candidate,
     base: dict[int, _Candidate],
-    outer_positions: list[int],
-    *,
-    order_pinned: bool,
+    positions: list[int],
 ) -> _Candidate:
-    """Fold null-supplying relations back in, in written order."""
-    for position in outer_positions:
-        edge = graph.outer_edge_of(position)
-        best: _Candidate | None = None
-        for challenger in _extension_candidates(
-            graph, current, base[position], edge, "left",
-            order_pinned=order_pinned,
-        ):
-            best = _pick(best, challenger)
-        current = best
+    """Fold ``positions`` into ``current`` in the order given, choosing
+    only the physical operator per step."""
+    for position in positions:
+        joined = frozenset(current.order)
+        edge = graph.edge_between(position, joined) or graph.outer_edge_of(position)
+        current = reduce(
+            _pick, _extension_candidates(graph, current, base[position], edge), None
+        )
     return current
 
 
@@ -700,8 +368,6 @@ def _append_outer(
 def plan_join_graph(
     graph: JoinGraph,
     plan_relation: "Callable[[Relation], Plan]",
-    *,
-    search: bool = True,
 ) -> tuple[Plan, dict]:
     """Compile a join graph to a physical plan.
 
@@ -711,12 +377,9 @@ def plan_join_graph(
     into an access plan.
 
     Returns ``(plan, info)`` where ``info`` carries the chosen relation
-    ``order`` (table names, join sequence) and the ``algorithm`` used
-    (``dp`` / ``greedy`` / ``written``).  ``search=False`` forces the
-    written order — the left-deep baseline EXP-ST and the perf gate
-    measure the search against.
+    ``order`` (table names, join sequence) and the ``algorithm`` that
+    ordered it (``dp`` / ``written``).
     """
-    order_pinned = graph.order_column is not None
     base: dict[int, _Candidate] = {}
     for relation in graph.relations:
         plan = plan_relation(relation)
@@ -725,35 +388,25 @@ def plan_join_graph(
             card=max(plan.estimate(), 0.0),
             plan=plan,
             order=(relation.position,),
-            renamed=False,
         )
-    pinned_written = (
-        not search
+    core = [r.position for r in graph.relations if not r.outer]
+    if (
+        len(core) > MAX_DP_RELATIONS
         or graph.has_column_collisions()
         or graph.inner_edge_touches_outer()
-    )
-    if pinned_written:
-        final = _fold_written(graph, base, order_pinned=order_pinned)
+    ):
+        current = base[0]
+        tail = [r.position for r in graph.relations[1:]]
         algorithm = "written"
     else:
-        core = [r.position for r in graph.relations if not r.outer]
-        outer_positions = [r.position for r in graph.relations if r.outer]
-        if len(core) == 1:
-            current = base[core[0]]
-        elif len(core) <= MAX_DP_RELATIONS:
-            current = _search_dp(graph, base, core, order_pinned=order_pinned)
-        else:
-            current = _search_greedy(graph, base, core, order_pinned=order_pinned)
-        algorithm = "dp" if len(core) <= MAX_DP_RELATIONS else "greedy"
-        final = _append_outer(
-            graph, current, base, outer_positions, order_pinned=order_pinned
-        )
+        current = _search_dp(graph, base, core)
+        tail = [r.position for r in graph.relations if r.outer]
+        algorithm = "dp"
+    final = _fold(graph, current, base, tail)
     info = {
         "algorithm": algorithm,
         "order": tuple(
             graph.relations[position].table.name for position in final.order
         ),
     }
-    if final.interesting_order:
-        info["interesting_order"] = graph.order_column
     return final.plan, info

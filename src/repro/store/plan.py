@@ -27,30 +27,33 @@ stages) stay on the reference surface end to end.
 
 Leaf access nodes (``PkLookup``, ``HashLookup``, ``IndexIn``,
 ``SortedRange``) are *exact*: they produce precisely the rows matching
-their predicate, so no residual re-check is needed.  ``Intersect`` and
-``Union`` of exact plans stay exact; everything else is made exact by a
-``Filter`` wrapper.
+their predicate.  ``Intersect`` and ``Union`` of exact plans stay
+exact; everything else is made exact by a ``Filter`` wrapper.  On a
+live table an index read captures primary keys and fetches the rows
+afterwards, so a writer can move a row out of the captured bucket or
+span in between: rows fetched from a live table are re-checked against
+the predicates the access node was compiled from
+(:meth:`Plan.still_matches`).  Views are frozen and skip the re-check.
 
-Joins.  ``HashJoin``, ``IndexNestedLoopJoin`` and ``SortMergeJoin``
-are binary nodes whose output is *combined* rows (left columns +
-prefixed right columns), so they stream through :meth:`Plan.iter_rows`
-but refuse :meth:`Plan.iter_pks`.  Their inputs are either base-table
-access plans (raw rows, renamed by the join via the ``prefix_*``
-arguments) or other join nodes (already-combined rows, empty prefix) —
-which is what lets the multi-way join-order search
-(:mod:`repro.store.joinorder`) build trees of any shape, not just
-left-deep chains.  In ``explain()`` output a join reads as::
+Joins.  ``HashJoin`` and ``IndexNestedLoopJoin`` are binary nodes
+whose output is *combined* rows (left columns + prefixed right
+columns; on a name collision the right input's value wins), so they
+stream through :meth:`Plan.iter_rows` but refuse :meth:`Plan.iter_pks`.
+Their left input is either a base-table access plan (raw rows, renamed
+by the join via ``prefix_left``) or another join node (already-combined
+rows, empty prefix), which is how the join-order search
+(:mod:`repro.store.joinorder`) builds left-deep chains.  In
+``explain()`` output a join reads as::
 
     index-nl-join(resources.id = posts.resource_id via hash-index,
                   how=inner, est~250)
       sorted-index-range(resources.quality, ...)
 
-i.e. the probe side (always the left input) is the child subtree, and
-the describe line names the join strategy, the key pair, the access
-path used to probe the right side and the estimated output size.  A
-``hash-join`` line additionally shows which input is the build side
-(``build=left|right``); a ``sort-merge-join`` renders both sorted-index
-range inputs as children.
+i.e. the left input is the first child subtree, and the describe line
+names the join strategy, the key pair, the access path used to probe
+the right side and the estimated output size.  A ``hash-join`` line
+additionally shows which input is the build side (``build=left|right``)
+and renders both inputs as children.
 
 Plan-cache rebinding.  Compiled plans are cached per (table, predicate
 *shape*) — single-table entries *and* whole join trees; see
@@ -68,7 +71,7 @@ planning from scratch.
 from __future__ import annotations
 
 from itertools import islice
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import QueryError, UnknownColumnError
 from .index import HashIndex, SortedIndex
@@ -80,7 +83,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "Plan", "FullScan", "Empty", "PkLookup", "HashLookup", "IndexIn",
     "SortedRange", "OrderedScan", "TopK", "Intersect", "Union", "Filter",
-    "Sort", "HashJoin", "IndexNestedLoopJoin", "SortMergeJoin",
+    "Sort", "HashJoin", "IndexNestedLoopJoin",
     "RebindError", "order_key", "stream_hash_join",
 ]
 
@@ -158,8 +161,21 @@ class Plan:
 
     def iter_rows_refs(self) -> Iterator[dict[str, Any]]:
         """Stream matching row *references* (zero-copy internal
-        surface; callers must not mutate the yielded dicts)."""
-        return self.table.refs_for_pks(self.iter_pks())
+        surface; callers must not mutate the yielded dicts).
+
+        Rows fetched from a live table are re-checked: a writer may
+        have moved one out of the captured bucket or span since the
+        index read.
+        """
+        rows = self.table.refs_for_pks(self.iter_pks())
+        if isinstance(self.table, Table):
+            return filter(self.still_matches, rows)
+        return rows
+
+    def still_matches(self, row: dict[str, Any]) -> bool:
+        """Whether a fetched row still satisfies the predicate this
+        node was compiled from (nodes without one match every row)."""
+        return self.source is None or self.source.matches(row)
 
     def iter_rows(self) -> Iterator[dict[str, Any]]:
         """Stream matching rows, safe to mutate: the public boundary.
@@ -240,6 +256,9 @@ class Empty(Plan):
 
     def iter_rows_refs(self) -> Iterator[dict[str, Any]]:
         return iter(())
+
+    def still_matches(self, row: dict[str, Any]) -> bool:
+        return False
 
     def describe(self) -> str:
         suffix = f": {self.reason}" if self.reason else ""
@@ -520,6 +539,9 @@ class Intersect(Plan):
             common &= set(plan.iter_pks())
         return iter(sorted(common, key=order_key))
 
+    def still_matches(self, row: dict[str, Any]) -> bool:
+        return all(plan.still_matches(row) for plan in self.plans)
+
     def children(self) -> tuple[Plan, ...]:
         return self.plans
 
@@ -550,6 +572,9 @@ class Union(Plan):
                 if pk not in seen:
                     seen.add(pk)
                     yield pk
+
+    def still_matches(self, row: dict[str, Any]) -> bool:
+        return any(plan.still_matches(row) for plan in self.plans)
 
     def children(self) -> tuple[Plan, ...]:
         return self.plans
@@ -585,6 +610,9 @@ class Filter(Plan):
             for row in self.child.iter_rows_refs()
             if self.predicate.matches(row)
         )
+
+    def still_matches(self, row: dict[str, Any]) -> bool:
+        return self.child.still_matches(row) and self.predicate.matches(row)
 
     def children(self) -> tuple[Plan, ...]:
         return (self.child,)
@@ -683,6 +711,53 @@ def _emit_joined(
         yield combined
 
 
+def _hash_matcher(
+    rows: Iterable[dict[str, Any]], key: str, side: str
+) -> "Callable[[Any], list[dict[str, Any]]]":
+    """Build a hash table over ``rows`` on ``key``; returns the lookup
+    giving the build rows equal to a probe value, in build order.
+
+    SQL NULL semantics: ``None`` keys never match — ``None``-keyed
+    build rows are dropped and a ``None`` probe finds nothing.
+    Unhashable keys (e.g. list-valued payloads) do not crash the bucket
+    build; they fall back to nested-loop equality matching.
+    """
+    buckets: dict[Any, list[dict[str, Any]]] = {}
+    loose: list[tuple[Any, dict[str, Any]]] = []
+    for row in rows:
+        if key not in row:
+            raise UnknownColumnError(
+                f"hash join: {side} rows lack column {key!r}"
+            )
+        value = row[key]
+        if value is None:
+            continue  # NULL keys never equi-match
+        try:
+            buckets.setdefault(value, []).append(row)
+        except TypeError:
+            loose.append((value, row))
+
+    def matches(value: Any) -> list[dict[str, Any]]:
+        if value is None:
+            return []
+        try:
+            found = buckets.get(value, [])
+        except TypeError:
+            # unhashable probe key: nested-loop over every build row
+            found = [
+                row
+                for bucket_key, bucket in buckets.items()
+                for row in bucket
+                if bucket_key == value
+            ]
+            return found + [row for loose_key, row in loose if loose_key == value]
+        if loose:
+            found = found + [row for loose_key, row in loose if loose_key == value]
+        return found
+
+    return matches
+
+
 def stream_hash_join(
     left_rows: Iterable[dict[str, Any]],
     right_rows: Iterable[dict[str, Any]],
@@ -697,27 +772,18 @@ def stream_hash_join(
     """Equi-join core: build a hash table over the right side, stream the
     left side through it.
 
-    SQL NULL semantics: ``None`` join keys never match — ``None``-keyed
-    build rows are dropped, ``None``-keyed probe rows are unmatched
-    (padded under ``how="left"``).  Unhashable keys (e.g. list-valued
-    payloads) do not crash the bucket build; they fall back to
-    nested-loop equality matching.
+    ``how`` is ``"inner"`` or ``"left"`` (left-outer: unmatched left
+    rows get ``None`` for every right column, and so do ``None``-keyed
+    left rows).  The padded columns come from ``right_columns`` when
+    given (e.g. a table's schema columns); otherwise they are derived
+    from the right rows actually seen, so pass the hint when the right
+    side may be empty or ragged.  NULL and unhashable keys behave as in
+    :func:`_hash_matcher`.
     """
+    if how not in ("inner", "left"):
+        raise QueryError(f"hash join: how must be 'inner' or 'left', got {how!r}")
     right_list = list(right_rows)
-    buckets: dict[Any, list[dict[str, Any]]] = {}
-    loose: list[tuple[Any, dict[str, Any]]] = []
-    for row in right_list:
-        if right_key not in row:
-            raise UnknownColumnError(
-                f"hash_join: right rows lack column {right_key!r}"
-            )
-        key = row[right_key]
-        if key is None:
-            continue  # NULL keys never equi-match
-        try:
-            buckets.setdefault(key, []).append(row)
-        except TypeError:
-            loose.append((key, row))
+    matches = _hash_matcher(right_list, right_key, "right")
     if right_columns is not None:
         padded_columns = list(right_columns)
     else:
@@ -725,30 +791,11 @@ def stream_hash_join(
     for left in left_rows:
         if left_key not in left:
             raise UnknownColumnError(
-                f"hash_join: left rows lack column {left_key!r}"
+                f"hash join: left rows lack column {left_key!r}"
             )
-        key = left[left_key]
-        if key is None:
-            matches: list[dict[str, Any]] = []
-        else:
-            try:
-                matches = buckets.get(key, [])
-            except TypeError:
-                # unhashable probe key: nested-loop over every build row
-                matches = [
-                    row
-                    for bucket_key, rows in buckets.items()
-                    for row in rows
-                    if bucket_key == key
-                ]
-                matches += [row for loose_key, row in loose if loose_key == key]
-            else:
-                if loose:
-                    matches = matches + [
-                        row for loose_key, row in loose if loose_key == key
-                    ]
         yield from _emit_joined(
-            left, matches, prefix_left=prefix_left, prefix_right=prefix_right,
+            left, matches(left[left_key]),
+            prefix_left=prefix_left, prefix_right=prefix_right,
             how=how, padded_columns=padded_columns,
         )
 
@@ -788,7 +835,8 @@ class HashJoin(_JoinPlan):
     cardinality estimate; left-outer joins pin the build side to the
     right input so unmatched left rows can be padded while streaming.
     With ``build_side="left"`` (inner only) the output row *content* is
-    identical but rows come out in right-input order.
+    identical — left columns, then right columns, the right value
+    winning a colliding name — but rows come out in right-input order.
     """
 
     def __init__(
@@ -819,12 +867,21 @@ class HashJoin(_JoinPlan):
                 prefix_left=self.prefix_left, prefix_right=self.prefix_right,
                 how=self.how, right_columns=self.right_columns,
             )
-        return stream_hash_join(
-            self.right.iter_rows_refs(), self.left.iter_rows_refs(),
-            left_key=self.right_key, right_key=self.left_key,
-            prefix_left=self.prefix_right, prefix_right=self.prefix_left,
-            how="inner",
-        )
+        return self._probe_left_build()
+
+    def _probe_left_build(self) -> Iterator[dict[str, Any]]:
+        matches = _hash_matcher(self.left.iter_rows_refs(), self.left_key, "left")
+        for right_row in self.right.iter_rows_refs():
+            if self.right_key not in right_row:
+                raise UnknownColumnError(
+                    f"hash join: right rows lack column {self.right_key!r}"
+                )
+            for left_row in matches(right_row[self.right_key]):
+                yield from _emit_joined(
+                    left_row, (right_row,),
+                    prefix_left=self.prefix_left, prefix_right=self.prefix_right,
+                    how="inner", padded_columns=(),
+                )
 
     def children(self) -> tuple[Plan, ...]:
         return (self.left, self.right)
@@ -868,6 +925,8 @@ class IndexNestedLoopJoin(_JoinPlan):
         )
         self.right_table = right_table
         self.right_predicate = right_predicate
+        #: probes of a live table re-check the fetched rows' key
+        self.live = isinstance(right_table, Table)
         self.via_pk = right_key == right_table.schema.primary_key
         self.index = None if self.via_pk else right_table.index_for(right_key)
         if not self.via_pk and self.index is None:
@@ -926,7 +985,11 @@ class IndexNestedLoopJoin(_JoinPlan):
             return self._probe_scan(key)
         if len(pks) > 1:  # deterministic match order only when it matters
             pks = sorted(pks, key=order_key)
-        return list(self.right_table.refs_for_pks(pks))
+        rows = self.right_table.refs_for_pks(pks)
+        if self.live:
+            # a writer may have moved a row off this key since the lookup
+            return [row for row in rows if row[self.right_key] == key]
+        return list(rows)
 
     def iter_rows_refs(self) -> Iterator[dict[str, Any]]:
         for left_row in self.left.iter_rows_refs():
@@ -971,164 +1034,5 @@ class IndexNestedLoopJoin(_JoinPlan):
             left_key=self.left_key, right_key=self.right_key,
             prefix_left=self.prefix_left, prefix_right=self.prefix_right,
             how=self.how, right_predicate=predicate,
-            right_columns=self.right_columns,
-        )
-
-
-#: "no value seen yet" sentinel for the sort-merge group buffer (None
-#: is a legal column value, so it cannot serve).
-_NO_GROUP = object()
-
-
-class SortMergeJoin(_JoinPlan):
-    """Merge two sorted indexes on the join columns: streaming, no
-    build table.
-
-    Applicable when *both* join columns carry sorted indexes (and the
-    planner has checked their declared types are mutually comparable).
-    Each side is a :class:`SortedRange` over its index — unbounded for
-    a pure equality join, bounded when a pushed-down range predicate on
-    the join column prunes the merge ("range/equality joins") — and the
-    merge walks both ``iter_items`` streams once, buffering only the
-    current right-side key group.  Unlike a hash join nothing is
-    materialized; unlike an index nested-loop nothing is probed
-    per-row, which wins when the probe side is larger than the right
-    side's distinct-key count.
-
-    NULL join keys live in the sorted indexes' side sets, so the merge
-    never sees them — SQL semantics for free; under ``how="left"`` the
-    NULL-keyed left rows are emitted padded up front (unless a bound
-    pruned them, since a range predicate never matches NULL).  Output
-    rows come out in join-key order.  Optional residual predicates
-    restrict each side before matching (and before padding).
-    """
-
-    def __init__(
-        self, left: "SortedRange", right: "SortedRange", *,
-        left_key: str, right_key: str,
-        prefix_left: str = "", prefix_right: str = "", how: str = "inner",
-        left_predicate: "Predicate | None" = None,
-        right_predicate: "Predicate | None" = None,
-        right_columns: Sequence[str] = (),
-    ) -> None:
-        super().__init__(
-            left, left_key=left_key, right_key=right_key,
-            prefix_left=prefix_left, prefix_right=prefix_right, how=how,
-            right_columns=right_columns,
-        )
-        self.right = right
-        self.left_predicate = left_predicate
-        self.right_predicate = right_predicate
-
-    def _side_selectivity(self, predicate, table) -> float:
-        if predicate is None:
-            return 1.0
-        selectivity = getattr(predicate, "selectivity", None)
-        if selectivity is None:
-            return _FILTER_SELECTIVITY
-        return selectivity(table)
-
-    def estimate(self) -> float:
-        left_est = self.left.estimate() * self._side_selectivity(
-            self.left_predicate, self.left.table
-        )
-        matches = self.right.estimate() / max(self.right.index.n_distinct(), 1)
-        matches *= self._side_selectivity(self.right_predicate, self.right.table)
-        estimate = left_est * matches
-        if self.how == "left":
-            estimate = max(estimate, left_est)
-        return estimate
-
-    def _pad_null_left_rows(self) -> Iterator[dict[str, Any]]:
-        """Left rows whose join key is NULL, padded (``how="left"`` on
-        an unbounded left side only — a range bound excludes NULL)."""
-        rows = self.left.table.refs_for_pks(self.left.index.iter_eq(None))
-        for row in rows:
-            if self.left_predicate is not None and not self.left_predicate.matches(row):
-                continue
-            yield from _emit_joined(
-                row, (), prefix_left=self.prefix_left,
-                prefix_right=self.prefix_right, how="left",
-                padded_columns=self.right_columns,
-            )
-
-    def iter_rows_refs(self) -> Iterator[dict[str, Any]]:
-        if self.how == "left" and self.left.low is None and self.left.high is None:
-            yield from self._pad_null_left_rows()
-        left_table = self.left.table
-        right_table = self.right.table
-        right_items = self.right.index.iter_items(
-            self.right.low, self.right.high,
-            include_low=self.right.include_low,
-            include_high=self.right.include_high,
-        )
-        pending = next(right_items, None)
-        group_value: Any = _NO_GROUP
-        group_rows: list[dict[str, Any]] = []
-        for value, pk in self.left.index.iter_items(
-            self.left.low, self.left.high,
-            include_low=self.left.include_low,
-            include_high=self.left.include_high,
-        ):
-            left_row = left_table.ref_or_none(pk)
-            if left_row is None:
-                continue  # deleted between index capture and fetch
-            if self.left_predicate is not None and not self.left_predicate.matches(
-                left_row
-            ):
-                continue
-            if group_value is _NO_GROUP or group_value != value:
-                # advance the right stream to this key and buffer its group
-                while pending is not None and pending[0] < value:
-                    pending = next(right_items, None)
-                group_value = value
-                group_rows = []
-                while pending is not None and pending[0] == value:
-                    right_row = right_table.ref_or_none(pending[1])
-                    if right_row is not None and (
-                        self.right_predicate is None
-                        or self.right_predicate.matches(right_row)
-                    ):
-                        group_rows.append(right_row)
-                    pending = next(right_items, None)
-            yield from _emit_joined(
-                left_row, group_rows,
-                prefix_left=self.prefix_left, prefix_right=self.prefix_right,
-                how=self.how, padded_columns=self.right_columns,
-            )
-
-    def children(self) -> tuple[Plan, ...]:
-        return (self.left, self.right)
-
-    def describe(self) -> str:
-        suffixes = ""
-        if self.left_predicate is not None:
-            suffixes += f", left-filter={self.left_predicate!r}"
-        if self.right_predicate is not None:
-            suffixes += f", right-filter={self.right_predicate!r}"
-        return (
-            f"sort-merge-join({self.left.table.name}.{self.left_key} = "
-            f"{self.right.table.name}.{self.right_key}, how={self.how}, "
-            f"est~{int(self.estimate())}{suffixes})"
-        )
-
-    def rebind(self, mapping: dict) -> "Plan":
-        def rebind_side(side: "SortedRange") -> "SortedRange":
-            if side.source is None:
-                if side.low is None and side.high is None:
-                    return side  # value-free: nothing to rebind
-                raise RebindError("bounded sort-merge input lost its source")
-            return side.rebind(mapping)  # type: ignore[return-value]
-
-        def rebind_predicate(predicate: "Predicate | None") -> "Predicate | None":
-            return None if predicate is None else _rebind_predicate(predicate, mapping)
-
-        return SortMergeJoin(
-            rebind_side(self.left), rebind_side(self.right),
-            left_key=self.left_key, right_key=self.right_key,
-            prefix_left=self.prefix_left, prefix_right=self.prefix_right,
-            how=self.how,
-            left_predicate=rebind_predicate(self.left_predicate),
-            right_predicate=rebind_predicate(self.right_predicate),
             right_columns=self.right_columns,
         )

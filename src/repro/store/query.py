@@ -37,15 +37,13 @@ and further ``.join(...)`` calls chain: instead of eagerly nesting
 binary plans in written order, the join accumulates an n-ary **join
 graph** (relations, equi-join edges, per-relation predicates — WHERE
 conjuncts that touch a single non-outer relation are pushed down into
-its access plan).  :mod:`repro.store.joinorder` then searches join
-*orders* — DP over subsets for up to six reorderable relations, greedy
-beyond, caller-written order when output columns collide — and picks a
-physical operator per join: ``IndexNestedLoopJoin`` (probe the right
-table's index per row), ``SortMergeJoin`` (merge two sorted indexes,
-no build table), or ``HashJoin`` (either side as build).  Everything
-streams: iterating a join never materializes the full result.  The
-``hash_join`` helper remains as a thin list-returning shim over the
-same streaming core for callers holding plain row iterables.
+its access plan).  :mod:`repro.store.joinorder` then picks the join
+*order* — a left-deep DP over subsets for up to six reorderable
+relations, the caller-written order otherwise (wider graphs, colliding
+output columns) — and a physical operator per join:
+``IndexNestedLoopJoin`` (probe the right table's index per row) or
+``HashJoin`` (either side as build).  Everything streams: iterating a
+join never materializes the full result.
 
 Plan cache.  Each table memoizes compiled plans per predicate *shape*
 (structure + columns + operators — values are rebound at execution) —
@@ -88,14 +86,13 @@ from .plan import (
     TopK,
     Union,
     order_key,
-    stream_hash_join,
 )
 from .table import Table
 
 __all__ = [
     "Predicate", "Eq", "Ne", "Lt", "Le", "Gt", "Ge", "In", "Between",
     "Contains", "And", "Or", "Not", "TruePredicate",
-    "Query", "JoinQuery", "hash_join",
+    "Query", "JoinQuery",
 ]
 
 
@@ -1046,11 +1043,11 @@ class JoinQuery:
 
     Built by :meth:`Query.join`; further :meth:`join` calls chain more
     relations onto the accumulated **join graph** instead of nesting
-    binary plans.  The join-order search (:mod:`repro.store.joinorder`)
-    picks both the relation order (DP over subsets, greedy for wide
-    graphs, caller-written order when output column names collide) and
-    the physical operator per join — index nested-loop, sort-merge over
-    two sorted indexes, or hash join — from live statistics.
+    binary plans.  The join planner (:mod:`repro.store.joinorder`)
+    picks both the relation order (left-deep DP over subsets, the
+    caller-written order for wide graphs or colliding output column
+    names) and the physical operator per join — index nested-loop or
+    hash join — from live statistics.
     ``explain()`` renders the chosen tree plus ``[join-order: ...]``
     and ``[plan-cache: ...]`` lines.
 
@@ -1098,9 +1095,6 @@ class JoinQuery:
         #: how the last compiled join plan was obtained (mirrors Query)
         self._plan_source = "bypass"
         self._order_info: dict = {}
-        #: set False to execute the caller-written left-deep order —
-        #: the baseline EXP-ST and the perf gate measure search against
-        self.order_search = True
         self.join(right, on=on, how=how, prefix_right=prefix_right)
 
     # graph building ---------------------------------------------------
@@ -1355,15 +1349,12 @@ class JoinQuery:
         relations, residual = self._effective_relations()
         graph = JoinGraph(
             relations, self._edges,
-            order_column=self._root._order_column,
-            order_descending=self._root._order_descending,
+            ordered=self._root._order_column is not None,
         )
         root_table = relations[0].table
         cache = root_table.plan_cache
         key = None
-        if self.order_search and all(
-            relation.table.plan_cache.enabled for relation in relations
-        ):
+        if all(relation.table.plan_cache.enabled for relation in relations):
             key = self._join_shape(relations, residual)
         tables = tuple(relation.table for relation in relations)
         if key is not None:
@@ -1376,11 +1367,7 @@ class JoinQuery:
                     if entry.info is not None:
                         self._order_info = entry.info
                     return plan
-        plan, info = plan_join_graph(
-            graph,
-            self._plan_relation_builder(relations),
-            search=self.order_search,
-        )
+        plan, info = plan_join_graph(graph, self._plan_relation_builder(relations))
         if residual is not None:
             plan = Filter(root_table, plan, residual)
         self._order_info = info
@@ -1420,24 +1407,14 @@ class JoinQuery:
     def explain(self) -> str:
         """The physical join plan as an indented tree, plus
         ``[join-order: ...]`` (the planner-chosen relation order and
-        search algorithm), an ``[interesting-order: ...]`` line when
-        the sort-merge output already satisfies the root ``order_by``
-        (no sort node), and ``[plan-cache: ...]`` lines."""
+        the strategy that chose it) and ``[plan-cache: ...]`` lines."""
         rendered = self._build_plan().render()
         order = " -> ".join(self._order_info.get("order", ()))
         algorithm = self._order_info.get("algorithm", "cached")
-        lines = [
-            rendered,
-            f"[join-order: {order or 'cached'} ({algorithm})]",
-        ]
-        satisfied = self._order_info.get("interesting_order")
-        if satisfied:
-            lines.append(
-                f"[interesting-order: sort-merge output already ordered "
-                f"by {satisfied!r}; sort skipped]"
-            )
-        lines.append(f"[plan-cache: {self._plan_source}]")
-        return "\n".join(lines)
+        return (
+            f"{rendered}\n[join-order: {order or 'cached'} ({algorithm})]\n"
+            f"[plan-cache: {self._plan_source}]"
+        )
 
     # execution --------------------------------------------------------
 
@@ -1497,43 +1474,3 @@ def _strip_column_prefix(predicate: Predicate, prefix: str) -> Predicate:
     if isinstance(predicate, Contains):
         return Contains(column, predicate.needle)
     return type(predicate)(column, predicate.value)
-
-
-def hash_join(
-    left_rows: Iterable[dict[str, Any]],
-    right_rows: Iterable[dict[str, Any]],
-    *,
-    left_key: str,
-    right_key: str,
-    prefix_left: str = "",
-    prefix_right: str = "",
-    how: str = "inner",
-    right_columns: Iterable[str] | None = None,
-) -> list[dict[str, Any]]:
-    """Equi-join two row iterables on ``left_key == right_key``.
-
-    Thin list-returning shim over the streaming core
-    (:func:`repro.store.plan.stream_hash_join`) for callers holding
-    plain row iterables; table-backed queries should prefer
-    :meth:`Query.join`, which is planned and streams.
-
-    Output columns are prefixed to avoid collisions.  ``how`` is
-    ``"inner"`` or ``"left"`` (left-outer: unmatched left rows get
-    ``None`` for every right column).  For left-outer joins the padded
-    columns come from ``right_columns`` when given (e.g. a table's
-    schema columns); otherwise they are derived from the right rows
-    actually seen — pass the hint when the right side may be empty or
-    ragged so the output shape stays stable.  ``None`` join keys never
-    match (SQL NULL semantics) and unhashable keys fall back to
-    nested-loop matching instead of crashing the bucket build.
-    """
-    if how not in ("inner", "left"):
-        raise QueryError(f"hash_join: how must be 'inner' or 'left', got {how!r}")
-    return list(
-        stream_hash_join(
-            left_rows, right_rows,
-            left_key=left_key, right_key=right_key,
-            prefix_left=prefix_left, prefix_right=prefix_right,
-            how=how, right_columns=right_columns,
-        )
-    )

@@ -190,7 +190,50 @@ class TestJoinPlanning:
         assert next(iterator)["r_tag"] == "x"
 
 
+def _labelled_pair(a_rows, b_rows):
+    """``a(id, k, label='A')`` and ``b(id, k2, label='B')``: unprefixed,
+    ``id`` and ``label`` collide in the combined rows."""
+    database = Database("collide")
+    tables = []
+    for name, key, count in (("a", "k", a_rows), ("b", "k2", b_rows)):
+        table = database.create_table(
+            name,
+            Schema(
+                [
+                    Column("id", DataType.INT),
+                    Column(key, DataType.INT),
+                    Column("label", DataType.TEXT),
+                ],
+                primary_key="id",
+            ),
+        )
+        for _ in range(count):
+            table.insert({key: 1, "label": name.upper()})
+        tables.append(table)
+    return tables
+
+
 class TestJoinKeySemantics:
+    @pytest.mark.parametrize(
+        ("a_rows", "b_rows", "build"),
+        [(2, 1, "build=right"), (1, 50, "build=left")],
+    )
+    def test_colliding_columns_resolve_to_the_later_relation(
+        self, a_rows, b_rows, build
+    ):
+        # the planner picks the hash build side from the cardinalities;
+        # either way the later relation wins a colliding column, as it
+        # does under index nested-loop and in WHERE name resolution
+        a, b = _labelled_pair(a_rows, b_rows)
+        join = Query(a).join(b, on=("k", "k2"))
+        assert build in join.explain()
+        rows = join.all()
+        assert len(rows) == a_rows * b_rows
+        assert {row["label"] for row in rows} == {"B"}
+        filtered = Query(a).join(b, on=("k", "k2")).where(Eq("label", "B")).all()
+        assert len(filtered) == a_rows * b_rows
+        assert {row["label"] for row in filtered} == {"B"}
+
     def test_none_keys_never_match(self):
         left, right = _build_pair(
             [(None, "a"), (1, "b")], [(None, "x"), (1, "y")], "hash"

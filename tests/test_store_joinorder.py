@@ -3,9 +3,10 @@
 Layers:
 
 - targeted assertions: the DP order search reorders a badly-written
-  3-way join (non-left-deep tree, selective relation first), sort-merge
-  join selection and semantics, predicate pushdown, the written-order
-  fallback for colliding column names, join plan-cache behaviour, and
+  3-way join (selective relation first, the big one hash-joined last
+  with the build on the joined pair), joins on sorted-indexed columns,
+  predicate pushdown, the written-order fold for colliding column names
+  and for graphs above the DP cutoff, join plan-cache behaviour, and
   MCV-backed string-equality selectivity;
 - a hypothesis property: every planned 3-way join — chained inner and
   left-outer joins, with NULL keys, random index layouts, pushdown
@@ -114,6 +115,28 @@ def _brute_binary(left_rows, right_rows, *, left_key, right_key, how,
     return out
 
 
+def _brute_chain(root_rows, steps):
+    """The caller-written left-deep order, evaluated by nested loops:
+    fold ``(rows, left_key, right_key, prefix_right)`` inner-join steps
+    over ``root_rows`` with :func:`_brute_binary`."""
+    out = list(root_rows)
+    for rows, left_key, right_key, prefix_right in steps:
+        out = _brute_binary(
+            out, rows, left_key=left_key, right_key=right_key, how="inner",
+            prefix_right=prefix_right, right_columns=(),
+        )
+    return out
+
+
+def _skewed_expected(a, b, c, label):
+    """Brute-force rows of the skewed 3-way join filtered to ``label``."""
+    rows = _brute_chain(
+        a.scan(),
+        [(list(b.scan()), "key", "akey", "b_"), (list(c.scan()), "b_ckey", "key", "c_")],
+    )
+    return [row for row in rows if row["c_label"] == label]
+
+
 def _canonical(rows):
     return sorted(
         rows,
@@ -153,32 +176,27 @@ class TestOrderSearch:
             .where(Eq("c_label", "rare"))
         )
         plan = join.explain()
-        # the selective categories relation is joined before the big
-        # unindexed one: order differs from the written ta -> tb -> tc
-        assert "[join-order: ta -> tc -> tb (dp)]" in plan
+        # the selective categories relation is joined first and the big
+        # unindexed one last: order differs from the written ta -> tb -> tc
+        assert "[join-order: tc -> tb -> ta (dp)]" in plan
         lines = plan.splitlines()
-        assert lines[0].startswith("hash-join")
-        # non-left-deep: the build side (second child) is a join subtree
-        assert lines[1].lstrip().startswith("full-scan")
-        assert any(line.startswith("  index-nl-join") for line in lines)
+        # the hash table is built over the joined pair (left input) and
+        # the big relation streams through it
+        assert lines[0].startswith("hash-join") and "build=left" in lines[0]
+        assert lines[1].startswith("  index-nl-join")
+        assert lines[3].startswith("  full-scan(ta")
 
     def test_search_and_written_orders_agree_on_rows(self):
         a, b, c = _skewed_triple()
-
-        def build():
-            return (
-                Query(a)
-                .join(b, on=("key", "akey"), prefix_right="b_")
-                .join(c, on=("b_ckey", "key"), prefix_right="c_")
-                .where(Eq("c_label", "rare"))
-            )
-
-        searched = build()
-        written = build()
-        written.order_search = False
-        assert "(written)" in written.explain()
-        assert _canonical(searched.all()) == _canonical(written.all())
-        assert searched.count() == written.count() > 0
+        searched = (
+            Query(a)
+            .join(b, on=("key", "akey"), prefix_right="b_")
+            .join(c, on=("b_ckey", "key"), prefix_right="c_")
+            .where(Eq("c_label", "rare"))
+        )
+        expected = _skewed_expected(a, b, c, "rare")
+        assert _canonical(searched.all()) == _canonical(expected)
+        assert searched.count() == len(expected) > 0
 
     def test_collisions_pin_the_written_order(self):
         # no prefixes: every table exposes "id", so reordering would
@@ -208,7 +226,7 @@ class TestOrderSearch:
         )
         assert [row["key"] for row in join.all()] == [3, 2, 1]
 
-    def test_greedy_kicks_in_above_the_dp_cutoff(self):
+    def test_written_order_folds_above_the_dp_cutoff(self):
         database = Database("wide")
         tables = []
         for position in range(8):
@@ -228,9 +246,20 @@ class TestOrderSearch:
                 tables[position], on=("k", "k"), prefix_right=f"p{position}_"
             )
         plan = join.explain()
-        assert "(greedy)" in plan
+        written = " -> ".join(f"t{position}" for position in range(8))
+        assert f"[join-order: {written} (written)]" in plan
         # one row per key value per table: each key group joins 1x1x...
-        assert join.count() == 4
+        expected = _brute_chain(
+            tables[0].scan(),
+            [
+                (list(tables[position].scan()), "k", "k", f"p{position}_")
+                for position in range(1, 8)
+            ],
+        )
+        assert len(expected) == 4
+        assert sorted(join.all(), key=lambda row: row["id"]) == sorted(
+            expected, key=lambda row: row["id"]
+        )
 
     def test_four_way_search_agrees_with_written_order(self):
         database = Database("four")
@@ -260,91 +289,27 @@ class TestOrderSearch:
         tables["x"].create_index("k1", kind="hash")
         tables["y"].create_index("k2", kind="hash")
 
-        def build(search):
-            join = (
-                Query(tables["w"])
-                .join(tables["x"], on=("k1", "k1"), prefix_right="x_")
-                .join(tables["y"], on=("x_k2", "k2"), prefix_right="y_")
-                .join(tables["z"], on=("y_k3", "k3"), prefix_right="z_")
-            )
-            join.order_search = search
-            return join
-
-        searched = build(True)
-        written = build(False)
+        searched = (
+            Query(tables["w"])
+            .join(tables["x"], on=("k1", "k1"), prefix_right="x_")
+            .join(tables["y"], on=("x_k2", "k2"), prefix_right="y_")
+            .join(tables["z"], on=("y_k3", "k3"), prefix_right="z_")
+        )
         assert "(dp)" in searched.explain()
-        assert searched.count() == written.count() > 0
+        expected = _brute_chain(
+            tables["w"].scan(),
+            [
+                (list(tables["x"].scan()), "k1", "k1", "x_"),
+                (list(tables["y"].scan()), "x_k2", "k2", "y_"),
+                (list(tables["z"].scan()), "y_k3", "k3", "z_"),
+            ],
+        )
 
-    def test_bushy_partition_plans_execute_correctly(self):
-        from repro.store import plan_join_graph
-        from repro.store.joinorder import (
-            _bushy_candidate, _Candidate, _access_cost, JoinGraph,
-        )
-        from repro.store import JoinEdge, Relation
+        def ids(row):
+            return (row["id"], row["x_id"], row["y_id"], row["z_id"])
 
-        database = Database("bushy")
-        tables = []
-        for position, name in enumerate(("p", "q", "r", "s")):
-            table = database.create_table(
-                name,
-                Schema(
-                    [Column("id", DataType.INT), Column("k", DataType.INT)],
-                    primary_key="id",
-                ),
-            )
-            for index in range(6):
-                table.insert({"k": index % 3})
-            tables.append(table)
-        relations = [
-            Relation(position, table, None, f"{table.name}_" if position else "")
-            for position, table in enumerate(tables)
-        ]
-        edges = [
-            JoinEdge(0, "k", 1, "k"),
-            JoinEdge(1, "k", 2, "k"),
-            JoinEdge(2, "k", 3, "k"),
-        ]
-        graph = JoinGraph(relations, edges)
-
-        def candidate(positions, plan_builder):
-            plan = plan_builder()
-            return _Candidate(
-                _access_cost(plan), max(plan.estimate(), 0.0), plan,
-                positions, len(positions) > 1,
-            )
-
-        # assemble (p ⋈ q) and (r ⋈ s) via the public planner, then
-        # force the bushy combine across the q-r edge
-        left_pair, _ = plan_join_graph(
-            JoinGraph(relations[:2], edges[:1]),
-            lambda rel: Query(rel.table)._build_plan(None),
-        )
-        right_pair, _ = plan_join_graph(
-            JoinGraph(
-                # positions renumbered: a JoinGraph indexes relations
-                # by position, so a sub-graph starts at 0
-                [Relation(0, tables[2], None, "r_"),
-                 Relation(1, tables[3], None, "s_")],
-                [JoinEdge(0, "k", 1, "k")],
-            ),
-            lambda rel: Query(rel.table)._build_plan(None),
-        )
-        bushy = _bushy_candidate(
-            graph,
-            _Candidate(1.0, 12.0, left_pair, (0, 1), True),
-            _Candidate(1.0, 12.0, right_pair, (2, 3), True),
-            edges[1],
-        )
-        rows = list(bushy.plan.iter_rows())
-        # each k group: 2 rows per table -> 2^4 combinations, 3 groups
-        assert len(rows) == 3 * 16
-        assert all(
-            row["k"] == row["q_k"] == row["r_k"] == row["s_k"] for row in rows
-        )
-        a, b, c = _triple([], [], [], b_layout="hash")
-        join = Query(a).join(b, on=("key", "akey"), prefix_right="b_")
-        with pytest.raises(Exception):
-            join.join(c, on=("nope", "key"), prefix_right="c_")
+        assert sorted(searched.all(), key=ids) == sorted(expected, key=ids)
+        assert len(expected) > 0
 
     def test_disconnected_inputs_are_impossible_by_construction(self):
         # every chained join must name an existing output column, so a
@@ -352,15 +317,18 @@ class TestOrderSearch:
         a, b, c = _triple([], [], [])
         with pytest.raises(Exception):
             Query(a).join(b, on=("missing", "akey"))
+        join = Query(a).join(b, on=("key", "akey"), prefix_right="b_")
+        with pytest.raises(Exception):
+            join.join(c, on=("nope", "key"), prefix_right="c_")
 
 
 # ----------------------------------------------------------------------
-# sort-merge join
+# joins on sorted-indexed columns
 # ----------------------------------------------------------------------
 
 
 def _sorted_pair(left_rows, right_rows):
-    database = Database("smj")
+    database = Database("sorted-pair")
     left = database.create_table(
         "lhs",
         Schema(
@@ -392,117 +360,45 @@ def _sorted_pair(left_rows, right_rows):
     return left, right
 
 
-class TestSortMergeJoin:
-    def test_sorted_sorted_equality_join_uses_sort_merge(self):
-        left, right = _sorted_pair(
-            [(i % 10 / 10, "x") for i in range(60)],
-            [(i % 10 / 10, "y") for i in range(60)],
-        )
-        join = Query(left).join(right, on="score", prefix_left="l_", prefix_right="r_")
-        assert "sort-merge-join" in join.explain()
-        assert join.count() == 60 * 6  # 10 groups of 6x6
+class TestSortedIndexJoinColumns:
+    """Both join columns carry sorted indexes: the index nested-loop
+    probes bisect the right side's index, hash joins ignore it."""
 
-    def test_pushed_range_predicate_becomes_merge_bounds(self):
-        left, right = _sorted_pair(
-            [(i % 10 / 10, "x") for i in range(60)],
-            [(i % 10 / 10, "y") for i in range(60)],
+    @staticmethod
+    def _join(left, right, how="inner"):
+        join = Query(left).join(
+            right, on="score", prefix_left="l_", prefix_right="r_", how=how
         )
-        join = (
-            Query(left)
-            .where(Between("score", 0.2, 0.4))
-            .join(right, on="score", prefix_left="l_", prefix_right="r_")
-        )
-        plan = join.explain()
-        assert "sort-merge-join" in plan
-        assert "0.2 <= v" in plan  # the bound reached the index range
-        assert join.count() == 3 * 6 * 6
+        assert join.explain().startswith(("index-nl-join", "hash-join"))
+        return join
 
     def test_duplicates_on_both_sides_cross_product_per_key(self):
         left, right = _sorted_pair([(0.5, "a"), (0.5, "b")], [(0.5, "x")] * 3)
-        join = Query(left).join(right, on="score", prefix_left="l_", prefix_right="r_")
-        if "sort-merge-join" not in join.explain():
-            pytest.skip("tiny inputs may cost below the sort-merge crossover")
-        assert join.count() == 6
+        assert self._join(left, right).count() == 6
 
     def test_null_scores_never_match_and_pad_under_left_join(self):
         left, right = _sorted_pair(
             [(None, "a")] + [(0.1 * (i % 5), "k") for i in range(40)],
             [(None, "x")] + [(0.1 * (i % 5), "t") for i in range(40)],
         )
-        join = Query(left).join(
-            right, on="score", prefix_left="l_", prefix_right="r_", how="left"
-        )
-        rows = join.all()
+        rows = self._join(left, right, how="left").all()
         padded = [row for row in rows if row["r_id"] is None]
         assert len(padded) == 1  # only the NULL-keyed left row
         assert padded[0]["l_kind"] == "a"
         # NULL right keys joined nothing
         assert all(row["r_score"] is not None for row in rows if row["r_id"] is not None)
 
-    def test_interesting_order_skips_sort_and_notes_explain(self):
-        left, right = _sorted_pair(
-            [(i % 10 / 10, "x") for i in range(60)],
-            [(i % 10 / 10, "y") for i in range(60)],
-        )
-        join = (
-            Query(left)
-            .order_by("score")
-            .join(right, on="score", prefix_left="l_", prefix_right="r_")
-        )
-        plan = join.explain()
-        assert "sort-merge-join" in plan
-        assert "[interesting-order:" in plan
-        assert "sort(" not in plan  # the merge output is already ordered
-        scores = [row["l_score"] for row in join.all()]
-        assert scores == sorted(scores)
-
-    def test_interesting_order_note_survives_plan_cache_hits(self):
-        left, right = _sorted_pair(
-            [(i % 10 / 10, "x") for i in range(60)],
-            [(i % 10 / 10, "y") for i in range(60)],
-        )
-
-        def build():
-            return (
-                Query(left)
-                .order_by("score")
-                .join(right, on="score", prefix_left="l_", prefix_right="r_")
-            )
-
-        first = build().explain()
-        assert "[interesting-order:" in first
-        assert "[plan-cache: miss]" in first
-        second = build().explain()
-        assert "[interesting-order:" in second
-        assert "[plan-cache: hit]" in second
-
-    def test_descending_order_gets_no_interesting_order_note(self):
-        left, right = _sorted_pair(
-            [(i % 10 / 10, "x") for i in range(60)],
-            [(i % 10 / 10, "y") for i in range(60)],
-        )
-        join = (
-            Query(left)
-            .order_by("score", descending=True)
-            .join(right, on="score", prefix_left="l_", prefix_right="r_")
-        )
-        plan = join.explain()
-        assert "[interesting-order:" not in plan
-        scores = [row["l_score"] for row in join.all()]
-        assert scores == sorted(scores, reverse=True)
-
-    def test_merge_matches_brute_force_exactly(self):
+    def test_join_matches_brute_force_exactly(self):
         left, right = _sorted_pair(
             [(i % 7 / 10, "x") for i in range(25)],
             [(i % 4 / 10, "y") for i in range(31)],
         )
-        join = Query(left).join(right, on="score", prefix_left="l_", prefix_right="r_")
         expected = 0
         for lrow in left.scan():
             expected += sum(
                 1 for rrow in right.scan() if rrow["score"] == lrow["score"]
             )
-        assert join.count() == expected
+        assert self._join(left, right).count() == expected
 
 
 # ----------------------------------------------------------------------
@@ -587,14 +483,12 @@ class TestJoinPlanCache:
         hit = self._join(a, b, c, "common")
         assert "[plan-cache: hit]" in hit.explain()
         # the rebound plan still answers for the *new* value
-        expected = self._join(a, b, c, "common")
-        expected.order_search = False
-        assert hit.count() == expected.count() > 0
+        assert hit.count() == len(_skewed_expected(a, b, c, "common")) > 0
 
     def test_hits_preserve_the_order_info(self):
         a, b, c = _skewed_triple()
         self._join(a, b, c, "rare").count()
-        assert "[join-order: ta -> tc -> tb" in self._join(a, b, c, "rare").explain()
+        assert "[join-order: tc -> tb -> ta" in self._join(a, b, c, "rare").explain()
 
     def test_ddl_on_any_participant_invalidates(self):
         a, b, c = _skewed_triple()
@@ -610,13 +504,7 @@ class TestJoinPlanCache:
             c.insert({"key": i % 30, "label": "common"})
         assert "[plan-cache: miss]" in self._join(a, b, c, "rare").explain()
 
-    def test_written_order_bypasses_the_cache(self):
-        a, b, c = _skewed_triple()
-        join = self._join(a, b, c, "rare")
-        join.order_search = False
-        assert "[plan-cache: bypass]" in join.explain()
-
-    def test_sort_merge_plans_rebind_new_bounds(self):
+    def test_range_plans_rebind_new_bounds(self):
         left, right = _sorted_pair(
             [(i % 10 / 10, "x") for i in range(60)],
             [(i % 10 / 10, "y") for i in range(60)],
@@ -630,11 +518,11 @@ class TestJoinPlanCache:
             )
 
         first = bounded(0.2, 0.4)
-        assert "sort-merge-join" in first.explain()
+        assert "sorted-index-range(lhs.score, 0.2 <= v and v <= 0.4" in first.explain()
         assert first.count() == 3 * 36
         rebound = bounded(0.0, 0.1)
         assert "[plan-cache: hit]" in rebound.explain()
-        # the cached merge re-ran with the *new* bounds
+        # the cached plan re-ran with the *new* bounds
         assert rebound.count() == 2 * 36
 
     def test_view_joins_bypass_the_cache(self):

@@ -16,9 +16,9 @@ from repro.store import (
     Not,
     Or,
     Query,
-    hash_join,
 )
 from repro.store.errors import QueryError, UnknownColumnError
+from repro.store.plan import stream_hash_join
 
 
 @pytest.fixture()
@@ -240,18 +240,23 @@ class TestAggregates:
         assert groups["image"]["avg_q"] == pytest.approx(0.9)
 
 
+def _hash_join(left, right, **options):
+    """The streaming hash-join core, drained."""
+    return list(stream_hash_join(left, right, **options))
+
+
 class TestHashJoin:
     def test_inner_join(self):
         left = [{"id": 1, "x": "a"}, {"id": 2, "x": "b"}]
         right = [{"rid": 1, "y": 10}, {"rid": 1, "y": 20}]
-        joined = hash_join(left, right, left_key="id", right_key="rid")
+        joined = _hash_join(left, right, left_key="id", right_key="rid")
         assert len(joined) == 2
         assert {row["y"] for row in joined} == {10, 20}
 
     def test_left_join_fills_none(self):
         left = [{"id": 1}, {"id": 2}]
         right = [{"rid": 1, "y": 10}]
-        joined = hash_join(
+        joined = _hash_join(
             left, right, left_key="id", right_key="rid", how="left",
             prefix_right="r_",
         )
@@ -263,7 +268,7 @@ class TestHashJoin:
         # regression: with an empty right side there are no observed
         # right columns, so unmatched left rows lost their padding
         left = [{"id": 1}, {"id": 2}]
-        joined = hash_join(
+        joined = _hash_join(
             left, [], left_key="id", right_key="rid", how="left",
             prefix_right="r_", right_columns=["rid", "y"],
         )
@@ -275,7 +280,7 @@ class TestHashJoin:
     def test_left_join_ragged_right_with_hint(self):
         left = [{"id": 1}, {"id": 2}]
         right = [{"rid": 1, "y": 10}]
-        joined = hash_join(
+        joined = _hash_join(
             left, right, left_key="id", right_key="rid", how="left",
             prefix_right="r_", right_columns=["rid", "y", "z"],
         )
@@ -285,7 +290,7 @@ class TestHashJoin:
     def test_prefixes_avoid_collisions(self):
         left = [{"id": 1, "name": "L"}]
         right = [{"id": 1, "name": "R"}]
-        joined = hash_join(
+        joined = _hash_join(
             left, right, left_key="id", right_key="id",
             prefix_left="l_", prefix_right="r_",
         )
@@ -297,14 +302,14 @@ class TestHashJoin:
         # the bucket build with a bare TypeError
         left = [{"k": [1, 2], "a": 1}, {"k": 3, "a": 2}]
         right = [{"k": [1, 2], "b": 10}, {"k": [9], "b": 11}, {"k": 3, "b": 12}]
-        joined = hash_join(left, right, left_key="k", right_key="k", prefix_right="r_")
+        joined = _hash_join(left, right, left_key="k", right_key="k", prefix_right="r_")
         assert len(joined) == 2
         assert {row["r_b"] for row in joined} == {10, 12}
 
     def test_unhashable_probe_key_matches_linearly(self):
         left = [{"k": [7], "a": 1}]
         right = [{"k": [7], "b": 10}, {"k": 7, "b": 11}]
-        joined = hash_join(left, right, left_key="k", right_key="k", prefix_right="r_")
+        joined = _hash_join(left, right, left_key="k", right_key="k", prefix_right="r_")
         assert [row["r_b"] for row in joined] == [10]
 
     def test_none_keys_never_cross_match(self):
@@ -312,21 +317,21 @@ class TestHashJoin:
         # rows cross-matched; SQL equi-joins must not match NULL keys
         left = [{"k": None, "a": 1}, {"k": 1, "a": 2}]
         right = [{"k": None, "b": 10}, {"k": 1, "b": 11}]
-        inner = hash_join(left, right, left_key="k", right_key="k", prefix_right="r_")
+        inner = _hash_join(left, right, left_key="k", right_key="k", prefix_right="r_")
         assert [(row["a"], row["r_b"]) for row in inner] == [(2, 11)]
 
     def test_none_left_keys_padded_under_left_join(self):
         left = [{"k": None, "a": 1}]
         right = [{"k": None, "b": 10}]
-        joined = hash_join(
+        joined = _hash_join(
             left, right, left_key="k", right_key="k", how="left", prefix_right="r_"
         )
         assert joined == [{"k": None, "a": 1, "r_k": None, "r_b": None}]
 
     def test_bad_how_rejected(self):
         with pytest.raises(QueryError):
-            hash_join([], [], left_key="a", right_key="b", how="outer")
+            _hash_join([], [], left_key="a", right_key="b", how="outer")
 
     def test_missing_key_raises(self):
         with pytest.raises(UnknownColumnError):
-            hash_join([{"id": 1}], [{"y": 1}], left_key="id", right_key="rid")
+            _hash_join([{"id": 1}], [{"y": 1}], left_key="id", right_key="rid")

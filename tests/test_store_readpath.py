@@ -11,9 +11,12 @@
    table, using the *same* indexed access paths (copy-on-write index
    snapshots), and keeps answering byte-identically to its own frozen
    row image under concurrent writer load.
-3. **Copy-on-write index snapshots**: writers detach lazily; pinned
+3. **Live re-check**: a write landing between a live index read and
+   the row fetch never leaks a row that no longer matches — equality,
+   range, join access plans and index nested-loop probes alike.
+4. **Copy-on-write index snapshots**: writers detach lazily; pinned
    snapshots never observe later mutations.
-4. **Plan-cache selectivity re-check**: a plan compiled for a narrow
+5. **Plan-cache selectivity re-check**: a plan compiled for a narrow
    binding is replanned — not reused — for a much wider binding of the
    same shape.
 """
@@ -23,6 +26,7 @@ from __future__ import annotations
 import json
 import threading
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,6 +38,8 @@ from repro.store import (
     DataType,
     Eq,
     In,
+    Lt,
+    Or,
     Query,
     Schema,
 )
@@ -246,6 +252,118 @@ class TestLiveViewEquivalence:
         writer_thread.join(timeout=30.0)
         assert not errors, errors
         table.verify_indexes()
+
+
+class TestLiveIndexedReadsRecheck:
+    """A live index read captures pks, then fetches the rows; a write
+    landing in between must not leak a row that no longer matches.
+    Each case lands the write deterministically mid-stream."""
+
+    @staticmethod
+    def _hot_table():
+        return _build([("hot", position / 20) for position in range(10)])
+
+    def test_equality_read_drops_a_row_moved_out_of_the_bucket(self):
+        _database, table = self._hot_table()
+        rows = Query(table).where(Eq("kind", "hot"))._execute()
+        first = next(rows)
+        table.update(5, {"kind": "cold"})
+        rest = list(rows)
+        assert [row["kind"] for row in [first, *rest]] == ["hot"] * 9
+        assert 5 not in {row["id"] for row in rest}
+
+    def test_range_read_drops_a_row_moved_out_of_the_span(self):
+        _database, table = self._hot_table()
+        rows = Query(table).where(Between("score", 0.0, 0.5))._execute()
+        next(rows)
+        table.update(5, {"score": 0.95})
+        assert all(0.0 <= row["score"] <= 0.5 for row in rows)
+
+    @pytest.mark.parametrize(
+        ("predicate", "write", "node"),
+        [
+            (Or(Eq("kind", "hot"), Eq("kind", "warm")), {"kind": "cold"}, "union("),
+            (
+                And(Eq("kind", "hot"), Between("score", 0.0, 0.5)),
+                {"score": 0.95},
+                "intersect(",
+            ),
+        ],
+        ids=["union", "intersect"],
+    )
+    def test_combined_access_plans_recheck_every_part(self, predicate, write, node):
+        _database, table = self._hot_table()
+        query = Query(table).where(predicate)
+        assert node in query.explain()
+        rows = query._execute()
+        next(rows)
+        table.update(5, write)
+        rest = list(rows)
+        assert len(rest) == 8
+        assert all(predicate.matches(row) for row in rest)
+
+    def test_a_union_branch_rechecks_its_residual_filter(self):
+        # a filtered branch streams pks out of its own fetch; the union
+        # fetches again, so its re-check must include the residual
+        _database, table = self._hot_table()
+        predicate = Or(And(Eq("kind", "hot"), Eq("payload", None)), Eq("kind", "warm"))
+        plan = Query(table).where(predicate)._build_plan(None)
+        assert plan.describe().startswith("union(")
+        row = {"id": 5, "kind": "hot", "score": 0.25, "payload": None}
+        assert plan.still_matches(row)
+        assert not plan.still_matches({**row, "payload": [1]})
+        assert not plan.still_matches({**row, "kind": "cold"})
+        assert plan.still_matches({**row, "kind": "warm", "payload": [1]})
+        # an unsatisfiable branch re-checks as matching nothing
+        empty_branch = Query(table).where(Or(Lt("score", None), Eq("kind", "warm")))
+        plan = empty_branch._build_plan(None)
+        assert "empty(t: NULL comparison value)" in plan.render()
+        assert not plan.still_matches(row)
+
+    def _joined(self, other_kinds):
+        database, table = self._hot_table()
+        other = database.create_table("u", _schema())
+        other.create_index("kind", kind="hash")
+        for kind in other_kinds:
+            other.insert({"kind": kind, "score": None, "payload": None})
+        return table, other
+
+    def test_join_access_plans_recheck_their_predicate(self):
+        # u is wide and nearly unique on kind, so t's index read is the
+        # probe side and streams while the join runs
+        table, other = self._joined(
+            ["hot", "cold"] + [f"k{position}" for position in range(98)]
+        )
+        join = (
+            Query(table)
+            .where(Eq("kind", "hot"))
+            .join(other, on=("kind", "kind"), prefix_right="u_")
+        )
+        assert "  hash-index(t.kind='hot'" in join.explain()
+        rows = iter(join)
+        next(rows)
+        table.update(5, {"kind": "cold"})
+        assert all(row["kind"] == row["u_kind"] == "hot" for row in rows)
+
+    def test_index_nested_loop_rechecks_the_probed_join_key(self, monkeypatch):
+        table, other = self._joined(["hot", "cold"])
+        join = Query(other).join(table, on=("kind", "kind"), prefix_right="t_")
+        assert "via hash-index" in join.explain()
+        index = table.index_for("kind")
+        lookup = index.lookup
+
+        def lookup_then_write(value):
+            pks = lookup(value)
+            if value == "hot" and table.get(5)["kind"] == "hot":
+                table.update(5, {"kind": "cold"})  # lands before the fetch
+            return pks
+
+        monkeypatch.setattr(index, "lookup", lookup_then_write)
+        rows = join.all()
+        assert all(row["kind"] == row["t_kind"] for row in rows)
+        assert sorted(row["t_id"] for row in rows if row["kind"] == "hot") == [
+            pk for pk in range(1, 11) if pk != 5
+        ]
 
 
 class TestCopyOnWriteIndexSnapshots:
