@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 check: the full test suite, the perfbench self-test and an
-# EXP-ST smoke run, so planner/store regressions fail fast with the
-# experiment's own claims
+# Tier-1 check: the full test suite, every example script, the
+# perfbench self-test and an EXP-ST smoke run, so planner/store
+# regressions fail fast with the experiment's own claims
 # (index paths beat scans, the join planner picks the documented plans,
 # warm plan cache beats cold planning, group commit beats per-commit
 # fsync, snapshot readers stay untorn, crash recovery matches the
@@ -20,6 +20,12 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 python scripts/lint_gate.py
 
 python -m pytest -x -q
+# examples smoke: every examples/*.py script runs end to end and exits 0
+# (delicious_campaign.py prints Fig. 5's recent activity)
+for example in examples/*.py; do
+    echo "example: $example"
+    python "$example" > /dev/null
+done
 # benchmark self-test: reduced untraced and traced runs of both
 # perfbench workloads.  The tracer patches strategy, quality-board and
 # store entry points by name and the checks read the project runtime,

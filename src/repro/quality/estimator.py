@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections.abc import Container
+from itertools import chain
 
 from ..config import QualityConfig
 from ..errors import ReproError
@@ -45,6 +46,14 @@ class QualityBoard:
     time are appended and the lists are sorted once before the next
     walk, so the initial build is one O(n log n) sort.
 
+    A walk is not a read.  The history records a score when a caller
+    reads it (:meth:`quality_of`, :meth:`observe`, :meth:`history_of`)
+    or when the MU walk ranks on it; a resource a walk only had to
+    score to place it waits outside the cache, unread, until then.  FP
+    ranks by post count and reads no score, so the history holds the
+    samples the scoring MU and FP code read before the rankings were
+    kept.
+
     **Contract.**  Whoever adds a post to the watched corpus calls
     :meth:`observe` on that resource before the next ranking walk: a
     post the board never hears of leaves a stale key, and the walks
@@ -69,6 +78,9 @@ class QualityBoard:
         # cache: resource id -> (n_posts when scored, score)
         self._cache: dict[int, tuple[int, float]] = {}
         self._history: dict[int, list[tuple[int, float]]] = {}
+        # entries a walk scored that no one has read since; the first
+        # read moves one into the cache and records its sample
+        self._unread: dict[int, tuple[int, float]] = {}
         # one key per scored resource; see the class docstring
         self._mu: list[tuple[float, int, int]] = []
         self._fp: list[tuple[int, int]] = []
@@ -85,12 +97,17 @@ class QualityBoard:
         cached = self._cache.get(resource_id)
         if cached is not None and cached[0] == resource.n_posts:
             return cached[1]
-        score = self.estimator.quality(resource)
+        if cached is None:
+            cached = self._unread.pop(resource_id, None)
+        if cached is not None and cached[0] == resource.n_posts:
+            score = cached[1]  # a walk scored it at this post count
+        else:
+            score = self.estimator.quality(resource)
+            self._rerank(resource_id, cached, resource.n_posts, score)
         self._cache[resource_id] = (resource.n_posts, score)
         history = self._history.setdefault(resource_id, [])
         if not history or history[-1][0] != resource.n_posts:
             history.append((resource.n_posts, score))
-        self._rerank(resource_id, cached, resource.n_posts, score)
         return score
 
     def qualities(self) -> dict[int, float]:
@@ -150,6 +167,10 @@ class QualityBoard:
         (stopped) resources ranked ahead of the last pick.
         """
         self._complete()
+        if self._unread:
+            # MU ranks every eligible resource on its score: read them
+            for resource_id in [r for r in self._unread if r in eligible]:
+                self.quality_of(resource_id)
         return _walk(self._mu, eligible, count)
 
     def fewest_posts_first(self, eligible: Container[int], count: int) -> list[int]:
@@ -171,7 +192,9 @@ class QualityBoard:
         """
         mu: list[tuple[float, int, int]] = []
         fp: list[tuple[int, int]] = []
-        for resource_id, (n_posts, score) in self._cache.items():
+        for resource_id, (n_posts, score) in chain(
+            self._cache.items(), self._unread.items()
+        ):
             resource = self.corpus.resource(resource_id)
             if resource.n_posts != n_posts:
                 raise ReproError(
@@ -217,11 +240,14 @@ class QualityBoard:
         insort(self._fp, fp_key)
 
     def _complete(self) -> None:
-        """Score any resource not ranked yet, then sort if needed."""
-        if len(self._cache) < len(self.corpus):
+        """Score (unread) any resource not ranked yet, then sort if needed."""
+        if len(self._cache) + len(self._unread) < len(self.corpus):
             for resource_id in self.corpus.resource_ids():
-                if resource_id not in self._cache:
-                    self.quality_of(resource_id)
+                if resource_id not in self._cache and resource_id not in self._unread:
+                    resource = self.corpus.resource(resource_id)
+                    score = self.estimator.quality(resource)
+                    self._unread[resource_id] = (resource.n_posts, score)
+                    self._rerank(resource_id, None, resource.n_posts, score)
         self._sort()
 
     def _sort(self) -> None:

@@ -737,16 +737,24 @@ class SortedIndex(_SortedReadSurface):
             self._distinct += 1
             self._prefix = None
             return
-        chunk_index = bisect.bisect_left(self._spine, entry)
-        if chunk_index >= len(self._chunks):
-            chunk_index = len(self._chunks) - 1  # append region: last chunk
-        chunk = self._own_chunk(chunk_index)
-        offset = bisect.bisect_left(chunk, entry)
-        before = self._entry_before((chunk_index, offset))
-        at = self._entry_at((chunk_index, offset))
-        present = (before is not None and before[0] == value) or (
-            at is not None and at[0] == value
-        )
+        last = self._spine[-1]
+        if last < entry:
+            # append fast path: an entry past the last fencepost (rising
+            # timestamps, ties broken by rising pks) is placed with this
+            # one comparison instead of two bisections
+            chunk_index = len(self._chunks) - 1
+            chunk = self._own_chunk(chunk_index)
+            present = last[0] == value
+            offset = len(chunk)
+        else:
+            chunk_index = bisect.bisect_left(self._spine, entry)
+            chunk = self._own_chunk(chunk_index)
+            offset = bisect.bisect_left(chunk, entry)
+            before = self._entry_before((chunk_index, offset))
+            at = self._entry_at((chunk_index, offset))
+            present = (before is not None and before[0] == value) or (
+                at is not None and at[0] == value
+            )
         chunk.insert(offset, entry)
         if offset == len(chunk) - 1:
             self._spine[chunk_index] = entry

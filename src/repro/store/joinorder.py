@@ -33,6 +33,18 @@ when unindexed).  Operator costs:
   a bucket table costs more per row than streaming through one, so the
   cheaper build is always over the smaller input.
 
+LIMIT costing.  An ordered graph whose query caps its output
+(``limit`` + ``offset``) reads only the first rows of the join, so
+each candidate also carries a *startup* cost — what it spends before
+its first row: the hash builds under it and a ``Sort`` root — and
+candidates are ranked by ``startup + (total − startup) · min(1,
+cap / card)`` (PostgreSQL's LIMIT costing).  A top-k over an order
+index then probes row by row instead of hashing a whole input it will
+barely read.  Graphs without a cap are ranked by total cost.  The rule
+assumes the surviving rows are spread evenly along the root's order;
+a caller that cannot rely on that bounds the walk with a root window
+(an ordered root query with a ``limit`` of its own, see ``JoinQuery``).
+
 Ordering contracts.  A root query with ``order_by`` pins relation 0
 first and restricts every step to order-preserving operators (index
 nested-loop, hash with the build on the right).  A hash join built on
@@ -48,12 +60,11 @@ owns the fluent API and the join plan cache.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from .errors import QueryError
-from .plan import Filter, HashJoin, IndexNestedLoopJoin, Plan, Sort
+from .plan import Filter, HashJoin, IndexNestedLoopJoin, Limit, Plan, Sort
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .query import Predicate
@@ -166,11 +177,19 @@ class JoinGraph:
 
 def _access_cost(plan: Plan) -> float:
     """Rows a single-relation access plan touches (its input cost) —
-    a residual Filter/Sort costs what its child streams, not what
-    survives."""
-    if isinstance(plan, (Filter, Sort)):
+    a residual Filter/Sort, or a root window over a sort, costs what
+    its child streams, not what survives."""
+    if isinstance(plan, (Filter, Sort, Limit)):
         return _access_cost(plan.child)
     return max(plan.estimate(), 0.0)
+
+
+def _access_startup(plan: Plan, cost: float) -> float:
+    """What an access plan spends before its first row: all of it for
+    an in-memory sort (windowed or not), nothing for a stream."""
+    if isinstance(plan, Limit):
+        plan = plan.child
+    return cost if isinstance(plan, Sort) else 0.0
 
 
 def _ndv(relation: Relation, column: str) -> float:
@@ -215,6 +234,8 @@ class _Candidate:
     card: float
     plan: Plan
     order: tuple[int, ...]  # join sequence, for explain
+    #: the part of ``cost`` spent before the first row comes out
+    startup: float
 
     def key_for(self, graph: JoinGraph, position: int, column: str) -> str:
         """The name ``column`` of relation ``position`` carries in this
@@ -280,25 +301,47 @@ def _extension_candidates(
             right_predicate=relation.predicate, **common,
         )
         cost = base.cost + base.card * (1.0 + node.avg_matches())
-        yield _Candidate(cost, card, node, order)
+        yield _Candidate(cost, card, node, order, base.startup)
 
     # 2. hash join, build over the new relation (preserves left order)
     node = HashJoin(base.plan, addition.plan, build_side="right", **common)
     cost = base.cost + addition.cost + base.card + HASH_BUILD_FACTOR * addition.card
-    yield _Candidate(cost, card, node, order)
+    startup = base.startup + addition.cost + HASH_BUILD_FACTOR * addition.card
+    yield _Candidate(cost, card, node, order, startup)
 
     # 3. hash join, build over the partial plan: rows follow the new
     #    relation (inner only; breaks left-row order)
     if how == "inner" and not graph.ordered:
         node = HashJoin(base.plan, addition.plan, build_side="left", **common)
         cost = base.cost + addition.cost + addition.card + HASH_BUILD_FACTOR * base.card
-        yield _Candidate(cost, card, node, order)
+        startup = base.cost + HASH_BUILD_FACTOR * base.card + addition.startup
+        yield _Candidate(cost, card, node, order, startup)
 
 
-def _pick(best: _Candidate | None, challenger: _Candidate) -> _Candidate:
-    """The cheaper of two candidates; a tie keeps ``best``."""
-    if best is None or challenger.cost < best.cost:
-        return challenger
+def _ranking(graph: JoinGraph, cap: int | None) -> "Callable[[_Candidate], float]":
+    """The cost candidates are compared by: total cost, or for an
+    ordered graph under a row cap the LIMIT-costed share of it."""
+    if cap is None or not graph.ordered:
+        return lambda candidate: candidate.cost
+
+    def capped(candidate: _Candidate) -> float:
+        if candidate.card <= cap:
+            return candidate.cost
+        share = cap / candidate.card
+        return candidate.startup + (candidate.cost - candidate.startup) * share
+
+    return capped
+
+
+def _cheapest(
+    candidates: "Iterable[_Candidate]",
+    rank: "Callable[[_Candidate], float]",
+    best: _Candidate | None = None,
+) -> _Candidate | None:
+    """The lowest-ranked candidate; a tie keeps the earlier one."""
+    for challenger in candidates:
+        if best is None or rank(challenger) < rank(best):
+            best = challenger
     return best
 
 
@@ -308,7 +351,10 @@ def _pick(best: _Candidate | None, challenger: _Candidate) -> _Candidate:
 
 
 def _search_dp(
-    graph: JoinGraph, base: dict[int, _Candidate], core: list[int]
+    graph: JoinGraph,
+    base: dict[int, _Candidate],
+    core: list[int],
+    rank: "Callable[[_Candidate], float]",
 ) -> _Candidate:
     """Dynamic programming over connected subsets of the core: each
     subset's plan folds one relation into the best plan of the rest.
@@ -330,9 +376,9 @@ def _search_dp(
                 edge = graph.edge_between(position, rest)
                 if partial is None or edge is None:
                     continue
-                best = reduce(
-                    _pick,
+                best = _cheapest(
                     _extension_candidates(graph, partial, base[position], edge),
+                    rank,
                     best,
                 )
             if best is not None:
@@ -348,14 +394,15 @@ def _fold(
     current: _Candidate,
     base: dict[int, _Candidate],
     positions: list[int],
+    rank: "Callable[[_Candidate], float]",
 ) -> _Candidate:
     """Fold ``positions`` into ``current`` in the order given, choosing
     only the physical operator per step."""
     for position in positions:
         joined = frozenset(current.order)
         edge = graph.edge_between(position, joined) or graph.outer_edge_of(position)
-        current = reduce(
-            _pick, _extension_candidates(graph, current, base[position], edge), None
+        current = _cheapest(
+            _extension_candidates(graph, current, base[position], edge), rank
         )
     return current
 
@@ -368,13 +415,17 @@ def _fold(
 def plan_join_graph(
     graph: JoinGraph,
     plan_relation: "Callable[[Relation], Plan]",
+    *,
+    cap: int | None = None,
 ) -> tuple[Plan, dict]:
     """Compile a join graph to a physical plan.
 
     ``plan_relation`` is the single-table planner (supplied by the
     query layer to avoid an import cycle): it compiles one relation's
     pushed-down predicate — plus, for relation 0, the root ordering —
-    into an access plan.
+    into an access plan.  ``cap`` is the number of rows the query
+    reads (its ``offset + limit``); an ordered graph under a cap is
+    LIMIT-costed (see the module docstring).
 
     Returns ``(plan, info)`` where ``info`` carries the chosen relation
     ``order`` (table names, join sequence) and the ``algorithm`` that
@@ -383,12 +434,15 @@ def plan_join_graph(
     base: dict[int, _Candidate] = {}
     for relation in graph.relations:
         plan = plan_relation(relation)
+        cost = _access_cost(plan)
         base[relation.position] = _Candidate(
-            cost=_access_cost(plan),
+            cost=cost,
             card=max(plan.estimate(), 0.0),
             plan=plan,
             order=(relation.position,),
+            startup=_access_startup(plan, cost),
         )
+    rank = _ranking(graph, cap)
     core = [r.position for r in graph.relations if not r.outer]
     if (
         len(core) > MAX_DP_RELATIONS
@@ -399,10 +453,10 @@ def plan_join_graph(
         tail = [r.position for r in graph.relations[1:]]
         algorithm = "written"
     else:
-        current = _search_dp(graph, base, core)
+        current = _search_dp(graph, base, core, rank)
         tail = [r.position for r in graph.relations if r.outer]
         algorithm = "dp"
-    final = _fold(graph, current, base, tail)
+    final = _fold(graph, current, base, tail, rank)
     info = {
         "algorithm": algorithm,
         "order": tuple(

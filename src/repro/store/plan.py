@@ -82,8 +82,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "Plan", "FullScan", "Empty", "PkLookup", "HashLookup", "IndexIn",
-    "SortedRange", "OrderedScan", "TopK", "Intersect", "Union", "Filter",
-    "Sort", "HashJoin", "IndexNestedLoopJoin",
+    "SortedRange", "OrderedScan", "TopK", "Limit", "Intersect", "Union",
+    "Filter", "Sort", "HashJoin", "IndexNestedLoopJoin",
     "RebindError", "order_key", "stream_hash_join",
 ]
 
@@ -519,6 +519,35 @@ class TopK(Plan):
             self.table, self.column, self.child.index, self.descending,
             self.count, predicate,
         )
+
+
+class Limit(Plan):
+    """The first ``count`` rows of an ordered child, in its order: the
+    window of a join root that carries ``order_by`` + ``limit`` when no
+    :class:`TopK` walk serves it (the child is then a ``Sort``)."""
+
+    def __init__(self, table: Table, child: Plan, count: int) -> None:
+        super().__init__(table)
+        self.child = child
+        self.count = count
+        self.fresh_rows = child.fresh_rows
+
+    def estimate(self) -> float:
+        return min(float(self.count), self.child.estimate())
+
+    def iter_rows_refs(self) -> Iterator[dict[str, Any]]:
+        # pks come through the rows (Plan.iter_pks): a Sort child's own
+        # pk stream is unordered, so it cannot be cut
+        return islice(self.child.iter_rows_refs(), self.count)
+
+    def children(self) -> tuple[Plan, ...]:
+        return (self.child,)
+
+    def describe(self) -> str:
+        return f"limit({self.count})"
+
+    def rebind(self, mapping: dict) -> "Plan":
+        return Limit(self.table, self.child.rebind(mapping), self.count)
 
 
 class Intersect(Plan):

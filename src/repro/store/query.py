@@ -77,6 +77,7 @@ from .plan import (
     HashLookup,
     IndexIn,
     Intersect,
+    Limit,
     OrderedScan,
     PkLookup,
     Plan,
@@ -1056,7 +1057,13 @@ class JoinQuery:
     right schema column.  WHERE conjuncts that touch exactly one
     non-outer relation are pushed down into that relation's access
     plan; the rest filter the combined rows.  A root query with
-    ``order_by`` keeps its row order through every join.
+    ``order_by`` keeps its row order through every join; with a
+    ``limit`` on the join as well, the planner costs only the rows the
+    window reads (``offset + limit``, part of the plan-cache key), so a
+    top-k over an order index probes row by row instead of building
+    hash tables.  An ordered root may carry a ``limit`` of its own: the
+    join then reads only that many root rows, its first in that order
+    (a top-k subquery; WHERE conjuncts on it filter after that window).
 
     >>> (Query(resources).where(Eq("kind", "url"))
     ...     .join(posts, on=("id", "resource_id"), prefix_right="post_")
@@ -1144,10 +1151,11 @@ class JoinQuery:
 
     @staticmethod
     def _check_input(query: Query, side: str) -> None:
-        if query._limit is not None or query._offset:
+        root_window = side == "left" and query._order_column is not None
+        if query._offset or (query._limit is not None and not root_window):
             raise QueryError(
-                f"join: {side} input must not carry limit/offset "
-                "(window the join instead)"
+                f"join: {side} input must not carry limit/offset, except "
+                "a limit on an ordered left input (window the join instead)"
             )
         if query._projection is not None:
             raise QueryError(f"join: {side} input must not carry a projection")
@@ -1226,6 +1234,9 @@ class JoinQuery:
             # WHERE on a null-supplying side is not ON: it must see the
             # padded NULLs, so it cannot move below the outer join
             return None
+        if position == 0 and self._root._limit is not None:
+            # nor below a root window: it filters the rows the window kept
+            return None
         return position, relation.prefix
 
     def _effective_relations(self) -> tuple[list[Relation], Predicate | None]:
@@ -1296,6 +1307,11 @@ class JoinQuery:
             if relation.position == 0:
                 query._order_column = root._order_column
                 query._order_descending = root._order_descending
+                if root._limit is not None:
+                    plan = query._build_plan(root._limit)
+                    if isinstance(plan, TopK):
+                        return plan
+                    return Limit(relation.table, plan, root._limit)
             return query._build_plan(None)
 
         return plan_relation
@@ -1330,8 +1346,15 @@ class JoinQuery:
             ),
             self._root._order_column,
             self._root._order_descending,
+            self._root._limit,
             residual_shape,
+            # only an ordered graph is costed under its cap
+            None if self._root._order_column is None else self._cap(),
         )
+
+    def _cap(self) -> int | None:
+        """Rows the query reads (offset + limit), or None unlimited."""
+        return None if self._limit is None else self._offset + self._limit
 
     @staticmethod
     def _synthetic_predicate(
@@ -1367,7 +1390,9 @@ class JoinQuery:
                     if entry.info is not None:
                         self._order_info = entry.info
                     return plan
-        plan, info = plan_join_graph(graph, self._plan_relation_builder(relations))
+        plan, info = plan_join_graph(
+            graph, self._plan_relation_builder(relations), cap=self._cap()
+        )
         if residual is not None:
             plan = Filter(root_table, plan, residual)
         self._order_info = info
@@ -1421,8 +1446,7 @@ class JoinQuery:
     def __iter__(self) -> Iterator[dict[str, Any]]:
         rows: Iterator[dict[str, Any]] = iter(self._build_plan().iter_rows())
         if self._offset or self._limit is not None:
-            stop = None if self._limit is None else self._offset + self._limit
-            rows = islice(rows, self._offset, stop)
+            rows = islice(rows, self._offset, self._cap())
         return rows
 
     def all(self) -> list[dict[str, Any]]:

@@ -45,6 +45,10 @@ def ensure_system_schema(database: Database) -> Database:
     notifications = database.table("notifications")
     if "kind" not in notifications.index_columns():
         notifications.create_index("kind", kind="hash")
+    # Fig. 5's recent activity walks posts newest first
+    posts = database.table("posts")
+    if "ts" not in posts.index_columns():
+        posts.create_index("ts", kind="sorted")
     return database
 
 
@@ -131,6 +135,7 @@ def _build_posts(database: Database) -> None:
         ),
     )
     database.table("posts").create_index("resource_id", kind="hash")
+    database.table("posts").create_index("ts", kind="sorted")
 
 
 def _build_tasks(database: Database) -> None:

@@ -98,7 +98,12 @@ def add_project_summary(system: ITagSystem, project_id: int) -> str:
 
 
 def project_details_screen(system: ITagSystem, project_id: int) -> str:
-    """Fig. 5: quality-evolution chart + strategy/platform controls."""
+    """Fig. 5: quality-evolution chart + strategy/platform controls.
+
+    "recent activity" lists the project's three newest posts, oldest
+    first: newest means ``ts`` descending, and posts with equal ``ts``
+    rank by ascending post id (see ``ResourceManager.recent_activity``).
+    """
     row = system.projects.get(project_id)
     lines = [f"=== Project details — {row['name']} ==="]
     lines.append(
@@ -115,13 +120,13 @@ def project_details_screen(system: ITagSystem, project_id: int) -> str:
             lines.append(line_plot(xs, ys, width=60, height=10))
         gain = system.quality.projected_gain(project_id, 100)
         lines.append(f"projected gain of +100 tasks: {gain:+.4f}")
-    # recent activity: the resources ⋈ posts ⟕ users join graph, ordered
-    # by the join-order search rather than as written
-    activity = system.resources.project_posts_with_taggers(project_id)
-    if activity:
-        recent = sorted(activity, key=lambda row: row["post_ts"])[-3:]
+    # recent activity: the three newest posts (ts descending, ties by
+    # ascending post id), read by a top-k join that stops after them
+    # (ResourceManager.recent_activity), printed oldest first
+    recent = system.resources.recent_activity(project_id, 3)
+    if recent:
         lines.append("recent activity:")
-        for row in recent:
+        for row in reversed(recent):
             tagger = row["user_name"] or f"worker-{row['post_tagger_id']}"
             lines.append(f"  {tagger} tagged {row['name']}")
     lines.append("[Switch Strategy]  [Choose Platform]  [Pause]  [Stop]")

@@ -10,18 +10,26 @@ Manager — this manager keeps the two in sync.
 
 from __future__ import annotations
 
+import heapq
+
 from ..errors import ResourceNotFoundError
-from ..store import And, Database, Eq, Ge, Query
+from ..store import And, Database, Eq, Ge, In, Query
 from ..tagging.corpus import Corpus
 from ..tagging.post import Post
 
 __all__ = ["ResourceManager"]
+
+#: Fig. 5's recent-activity walk reads at most one of the deployment's
+#: newest posts per this many project resources before it ranks the
+#: project's own posts instead (see ``ResourceManager.recent_activity``)
+RESOURCES_PER_WALKED_POST = 4
 
 
 class ResourceManager:
     """CRUD over the ``resources`` table, synced with live corpora."""
 
     def __init__(self, database: Database) -> None:
+        self._database = database
         self._resources = database.table("resources")
         self._posts = database.table("posts")
         self._users = database.table("users")
@@ -188,9 +196,12 @@ class ResourceManager:
         ``resources ⋈ posts ⟕ users``, written left-deep but planned by
         the join-order search: the project hash index narrows
         resources, posts chain in through their ``resource_id`` index,
-        and each tagger is a primary-key probe (left-outer, as above).
-        Columns come back raw for resources, ``post_``-prefixed for
-        posts and ``user_``-prefixed for taggers.
+        and the taggers are hashed in (left-outer, as above).  Columns
+        come back raw for resources, ``post_``-prefixed for posts and
+        ``user_``-prefixed for taggers.  It reads every post of the
+        project, so no screen calls it; it is the full-activity check
+        (every approved post joined exactly once) that
+        :meth:`recent_activity` is tested and benchmarked against.
         """
         return (
             Query(self._resources)
@@ -204,3 +215,59 @@ class ResourceManager:
             )
             .all()
         )
+
+    def recent_activity(self, project_id: int, count: int) -> list[dict]:
+        """A project's ``count`` newest posts, newest first, with
+        resource and tagger context (Fig. 5's recent activity).
+
+        Newest means ``ts`` descending; posts with equal ``ts`` rank by
+        ascending post id (the order a descending ``posts.ts`` index
+        walk streams ties in).  Columns are named as in
+        :meth:`project_posts_with_taggers`.  Everything reads one read
+        view, so concurrent task commits cannot move the index under
+        the walk.
+
+        First a top-k join: the deployment's newest posts, windowed to
+        one per :data:`RESOURCES_PER_WALKED_POST` project resources,
+        each probing its resource by primary key (kept when it belongs
+        to the project) and its tagger (left-outer), stopping after
+        ``count`` rows.  A project that owns the newest posts is served
+        by reading about ``count`` posts.  When the window holds fewer
+        than ``count`` of the project's posts (an idle project beside
+        an active one), the project's own posts are ranked through its
+        resources and the same join runs once per winner, from its
+        primary key; the window keeps such a miss cheaper than the full
+        project-scoped join (docs/performance.md, "Provider screens").
+        """
+        view = self._database.read_view()
+        posts = view.table("posts")
+        project = Query(view.table("resources")).where(Eq("project_id", project_id))
+
+        def newest(candidates: Query) -> list[dict]:
+            return (
+                candidates.order_by("ts", descending=True)
+                .join(project, on=("resource_id", "id"), prefix_left="post_")
+                .join(
+                    view.table("users"),
+                    on=("post_tagger_id", "id"),
+                    prefix_right="user_",
+                    how="left",
+                )
+                .limit(count)
+                .all()
+            )
+
+        window = project.count() // RESOURCES_PER_WALKED_POST
+        recent = newest(Query(posts).limit(window))
+        if len(recent) == count or len(posts) <= window:
+            return recent
+        # rank the project's own posts, then join each winner by its key
+        own = Query(posts).where(In("resource_id", project.pks()))
+        top = heapq.nsmallest(
+            count,
+            own.select(["id", "ts"]).all(),
+            key=lambda post: (-post["ts"], post["id"]),
+        )
+        return [
+            row for post in top for row in newest(Query(posts).where(Eq("id", post["id"])))
+        ]

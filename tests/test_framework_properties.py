@@ -1,5 +1,7 @@
 """Property-based tests: Algorithm-1 engine invariants under random
-provider-control sequences (promote/stop/resume/add-budget/switch/step).
+provider-control sequences (promote/stop/resume/add-budget/switch/step,
+plus stop-all-but-one and resume-all, which reach the one-eligible
+states a heap-ranked strategy must survive).
 
 Invariants:
 - budget conservation: Σ x_i == budget_spent <= budget_total, always;
@@ -17,7 +19,7 @@ from __future__ import annotations
 import copy
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from legacy_strategies import (
     LegacyFewestPostsFirst,
@@ -37,7 +39,10 @@ from repro.strategies import (
 
 _ops = st.lists(
     st.tuples(
-        st.sampled_from(["step", "promote", "stop", "resume", "add_budget", "switch"]),
+        st.sampled_from([
+            "step", "promote", "stop", "resume", "stop_all_but", "resume_all",
+            "add_budget", "switch",
+        ]),
         st.integers(min_value=0, max_value=9),
     ),
     min_size=1,
@@ -101,6 +106,15 @@ def _apply(engine: AllocationEngine, op: str, argument: int, resource_id: int, s
         engine.stop(resource_id)
     elif op == "resume":
         engine.resume(resource_id)
+    elif op == "stop_all_but":
+        # exactly ``resource_id`` stays eligible
+        engine.resume(resource_id)
+        for other in engine.corpus.resource_ids():
+            if other != resource_id:
+                engine.stop(other)
+    elif op == "resume_all":
+        for other in engine.corpus.resource_ids():
+            engine.resume(other)
     elif op == "add_budget":
         engine.add_budget(argument)
     elif op == "run":
@@ -116,6 +130,20 @@ def _apply_both(engine, twin, op, argument, resource_id, switch_to) -> None:
 
 
 @given(st.sampled_from(STRATEGY_NAMES), st.integers(min_value=1, max_value=3), _ops)
+# random op lists reach a one-eligible pick followed by a different
+# eligible set only now and then; this shape, which broke the heap of
+# OracleGreedy, runs on every invocation
+@example(
+    "optimal", 1,
+    [("stop_all_but", 0), ("step", 0), ("resume_all", 0), ("stop_all_but", 1), ("step", 0)],
+)
+# and this one: FP placed resource 1 before its first post, then
+# adaptive (switch 7) fits a curve to its history, which must hold
+# the samples the frozen FP code left, not an extra one from the walk
+@example(
+    "fp", 1,
+    [("step", 0), ("step", 0), ("step", 1), ("stop_all_but", 0), ("switch", 7), ("promote", 1)],
+)
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_engine_invariants_under_any_control_sequence(name, batch_size, ops):
     tested, oracle = _strategy_pair(name)
@@ -139,6 +167,14 @@ def test_engine_invariants_under_any_control_sequence(name, batch_size, ops):
         elif op == "stop" and resource_id not in stopped:
             stopped.add(resource_id)
             stopped_alloc_at_stop[resource_id] = engine._allocation[resource_id]
+        elif op == "stop_all_but":
+            stopped.discard(resource_id)
+            for other in ids:
+                if other != resource_id and other not in stopped:
+                    stopped.add(other)
+                    stopped_alloc_at_stop[other] = engine._allocation[other]
+        elif op == "resume_all":
+            stopped.clear()
         # Invariant: allocation of currently-stopped resources is frozen.
         for frozen_id in stopped:
             assert engine._allocation[frozen_id] == stopped_alloc_at_stop[frozen_id]

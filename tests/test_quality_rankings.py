@@ -4,6 +4,8 @@
   (``legacy_strategies``) computes by scoring and sorting everything.
 - ``QualityBoard.verify`` rebuilds both rankings and catches a post the
   board was never told of.
+- A walk is not a read: the quality history keeps the samples the
+  frozen code read, whatever the walks scored to place resources.
 - Flat work: in fp-mu's MU phase one ``choose`` scores nothing, at 10³
   and at 2×10⁴ resources alike, and one system task averages the
   corpus quality once.
@@ -19,7 +21,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from legacy_strategies import LegacyHybridFpMu, LegacyMostUnstableFirst
+from legacy_strategies import (
+    LegacyFewestPostsFirst,
+    LegacyHybridFpMu,
+    LegacyMostUnstableFirst,
+)
 
 from repro.datasets import make_delicious_like
 from repro.errors import ReproError
@@ -104,6 +110,25 @@ class TestWalks:
             board.verify()
         board.observe(tiny_corpus.resource(3))
         board.verify()
+
+    def test_history_keeps_the_samples_the_frozen_code_read(self, tiny_corpus):
+        ranked, frozen = QualityBoard(tiny_corpus), QualityBoard(tiny_corpus)
+        # FP scores every resource to place it but reads no score; MU
+        # reads the score of every eligible resource
+        assert ranked.fewest_posts_first({1, 2, 3}, 1) == [3]
+        assert LegacyFewestPostsFirst().choose(
+            _context(tiny_corpus, frozen, {1, 2, 3}), 1
+        ) == [3]
+        assert ranked.most_unstable_first({2}, 1) == [2]
+        assert LegacyMostUnstableFirst().choose(_context(tiny_corpus, frozen, {2}), 1) == [2]
+        for resource_id in (1, 2, 3):
+            tiny_corpus.add_post(Post.from_tags(resource_id, 9, [0]))
+            ranked.observe(tiny_corpus.resource(resource_id))
+            frozen.observe(tiny_corpus.resource(resource_id))
+        assert [k for k, _quality in frozen.history_of(2)] == [1, 2]
+        for resource_id in (1, 2, 3):
+            assert ranked.history_of(resource_id) == frozen.history_of(resource_id)
+        ranked.verify()
 
     def test_stopped_resources_are_skipped(self, tiny_corpus):
         board = QualityBoard(tiny_corpus)

@@ -316,6 +316,53 @@ class TestChunkedSortedIndex:
         assert len(snap) == SORTED_CHUNK_MAX
         assert list(snap.iter_pks()) == list(range(SORTED_CHUNK_MAX))
 
+    def test_appends_past_the_last_entry_skip_the_bisections(self, monkeypatch):
+        import bisect
+
+        from repro.store.index import SORTED_CHUNK_MAX
+
+        calls = []
+        bisect_left = bisect.bisect_left
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return bisect_left(*args, **kwargs)
+
+        count = 3 * SORTED_CHUNK_MAX
+        pairs = [(float(pk // 700), pk) for pk in range(count)]  # tied runs
+        index = SortedIndex("ts")
+        monkeypatch.setattr(bisect, "bisect_left", counting)
+        for value, pk in pairs:
+            index.add(value, pk)
+        monkeypatch.undo()
+        assert calls == []
+        index.verify_structure()
+        built = SortedIndex.build("ts", pairs)
+        assert list(index.iter_items()) == list(built.iter_items())
+        assert index.n_distinct() == built.n_distinct() == index.recount_distinct()
+
+    def test_appends_and_inserts_agree_with_a_sorted_oracle(self):
+        import random
+
+        rng = random.Random(5)
+        index = SortedIndex("v")
+        oracle = []
+        snapshots = []
+        for pk in range(4000):
+            # mostly appends (rising values, ties on rising pks), some
+            # inserts behind the last entry
+            value = pk // 3 if rng.random() < 0.8 else rng.randrange(pk // 3 + 1)
+            index.add(value, pk)
+            oracle.append((value, pk))
+            if pk % 997 == 0:
+                snapshots.append((index.snapshot(), sorted(oracle)))
+        index.verify_structure()
+        assert list(index.iter_items()) == sorted(oracle)
+        assert index.n_distinct() == index.recount_distinct()
+        for snapshot, expected in snapshots:
+            snapshot.verify_structure()
+            assert list(snapshot.iter_items()) == expected
+
     def test_verify_structure_catches_violations(self):
         import pytest
 

@@ -6,8 +6,9 @@ Layers:
   3-way join (selective relation first, the big one hash-joined last
   with the build on the joined pair), joins on sorted-indexed columns,
   predicate pushdown, the written-order fold for colliding column names
-  and for graphs above the DP cutoff, join plan-cache behaviour, and
-  MCV-backed string-equality selectivity;
+  and for graphs above the DP cutoff, join plan-cache behaviour,
+  LIMIT costing of ordered top-k joins, and MCV-backed string-equality
+  selectivity;
 - a hypothesis property: every planned 3-way join — chained inner and
   left-outer joins, with NULL keys, random index layouts, pushdown
   filters and limit/offset — is byte-identical to brute-force nested
@@ -30,6 +31,7 @@ from repro.store import (
     MostCommonValues,
     Ne,
     Query,
+    QueryError,
     Schema,
 )
 from repro.store.plan import order_key
@@ -536,6 +538,208 @@ class TestJoinPlanCache:
 
 
 # ----------------------------------------------------------------------
+# LIMIT costing of ordered joins
+# ----------------------------------------------------------------------
+
+
+def _events_and_items(n_events=2000, n_items=500):
+    """``events`` (sorted index on ``ts``, two events per ``ts``) over
+    ``items`` (hash index on ``grp``, half of them in group 1)."""
+    database = Database("topk")
+    events = database.create_table(
+        "events",
+        Schema(
+            [
+                Column("id", DataType.INT),
+                Column("item_id", DataType.INT),
+                Column("ts", DataType.FLOAT),
+            ],
+            primary_key="id",
+        ),
+    )
+    items = database.create_table(
+        "items",
+        Schema([Column("id", DataType.INT), Column("grp", DataType.INT)], primary_key="id"),
+    )
+    events.create_index("ts", kind="sorted")
+    items.create_index("grp", kind="hash")
+    for i in range(1, n_items + 1):
+        items.insert({"id": i, "grp": 1 + i % 2})
+    for i in range(1, n_events + 1):
+        events.insert({"id": i, "item_id": 1 + i % n_items, "ts": float(i // 2)})
+    return events, items
+
+
+def _newest(events, items, limit=None):
+    query = (
+        Query(events)
+        .order_by("ts", descending=True)
+        .join(Query(items).where(Eq("grp", 1)), on=("item_id", "id"), prefix_right="i_")
+    )
+    return query if limit is None else query.limit(limit)
+
+
+_HASHED_NEWEST = """\
+hash-join(events.item_id = items.id, how=inner, build=right, est~2000)
+  sorted-index-order(events.ts desc)
+  hash-index(items.grp=1, est~250)
+[join-order: events -> items (dp)]"""
+
+
+def _fetch_counter(monkeypatch, table):
+    """The ids of every row fetched from ``table``, in fetch order."""
+    fetched = []
+    refs_for_pks = table.refs_for_pks
+
+    def counting(pks):
+        for row in refs_for_pks(pks):
+            fetched.append(row["id"])
+            yield row
+
+    monkeypatch.setattr(table, "refs_for_pks", counting)
+    return fetched
+
+
+class TestLimitCosting:
+    def test_capped_ordered_join_probes_and_reads_only_the_window(self, monkeypatch):
+        events, items = _events_and_items()
+        capped = _newest(events, items, limit=3)
+        explained = capped.explain()
+        assert explained.startswith(
+            "index-nl-join(events.item_id = items.id via pk, how=inner, est~1000, "
+            "right-filter=Eq(column='grp', value=1))\n"
+            "  sorted-index-order(events.ts desc)\n"
+        )
+        assert "hash-join" not in explained
+        fetched = _fetch_counter(monkeypatch, events)
+        rows = capped.all()
+        # ts descending, ties by ascending id; even ids sit in group 2
+        assert [row["id"] for row in rows] == [1999, 1997, 1995]
+        # the walk read the newest events up to the third match, no more
+        assert fetched == [2000, 1998, 1999, 1996, 1997, 1994, 1995]
+
+    def test_offset_counts_toward_the_cap(self, monkeypatch):
+        events, items = _events_and_items()
+        windowed = _newest(events, items, limit=2).offset(1)
+        assert windowed.explain().startswith("index-nl-join(")
+        fetched = _fetch_counter(monkeypatch, events)
+        assert [row["id"] for row in windowed.all()] == [1997, 1995]
+        assert len(fetched) == 7
+
+    def test_the_same_graph_without_a_limit_keeps_its_hash_join(self, monkeypatch):
+        events, items = _events_and_items()
+        uncapped = _newest(events, items)
+        assert uncapped.explain().rsplit("\n", 1)[0] == _HASHED_NEWEST
+        fetched = _fetch_counter(monkeypatch, events)
+        assert len(uncapped.all()) == 1000
+        assert len(fetched) == 2000
+
+    def test_a_cap_above_the_join_estimate_costs_the_whole_join(self):
+        events, items = _events_and_items()
+        assert _newest(events, items, limit=5000).explain().rsplit("\n", 1)[0] == (
+            _HASHED_NEWEST
+        )
+
+    def test_capped_and_uncapped_shapes_never_share_a_cache_entry(self):
+        events, items = _events_and_items()
+        assert "[plan-cache: miss]" in _newest(events, items, limit=3).explain()
+        uncapped = _newest(events, items).explain()
+        assert "[plan-cache: miss]" in uncapped and "hash-join" in uncapped
+        capped_again = _newest(events, items, limit=3).explain()
+        assert "[plan-cache: hit]" in capped_again
+        assert capped_again.startswith("index-nl-join(")
+        uncapped_again = _newest(events, items).explain()
+        assert "[plan-cache: hit]" in uncapped_again and "hash-join" in uncapped_again
+        # a different cap is a different entry too
+        assert "[plan-cache: miss]" in _newest(events, items, limit=4).explain()
+
+    def test_unordered_joins_ignore_the_cap(self):
+        events, items = _events_and_items()
+
+        def unordered(limit=None):
+            query = Query(events).join(
+                Query(items).where(Eq("grp", 1)), on=("item_id", "id"), prefix_right="i_"
+            )
+            return query if limit is None else query.limit(limit)
+
+        plan = unordered().explain().split("\n[plan-cache")[0]
+        assert unordered(3).explain().split("\n[plan-cache")[0] == plan
+        # so every cap of an unordered shape shares one cache entry
+        assert "[plan-cache: hit]" in unordered(4).explain()
+
+
+class TestRootWindow:
+    """An ordered root with a ``limit`` of its own: the join reads only
+    that many root rows, its first in that order."""
+
+    def test_the_join_reads_only_the_window(self, monkeypatch):
+        events, items = _events_and_items()
+        windowed = (
+            Query(events)
+            .order_by("ts", descending=True)
+            .limit(6)
+            .join(Query(items).where(Eq("grp", 1)), on=("item_id", "id"), prefix_right="i_")
+        )
+        assert "top-k(events.ts desc, k=6)" in windowed.explain()
+        fetched = _fetch_counter(monkeypatch, events)
+        # the six newest events (ties by ascending id); odd ids are in group 1
+        assert [row["id"] for row in windowed.all()] == [1999, 1997]
+        assert fetched == [2000, 1998, 1999, 1996, 1997, 1994]
+
+    def test_a_where_on_the_root_filters_after_the_window(self):
+        events, items = _events_and_items()
+        windowed = (
+            Query(events)
+            .order_by("ts", descending=True)
+            .limit(6)
+            .join(items, on=("item_id", "id"), prefix_right="i_")
+            .where(Eq("item_id", 1 + 1997 % 500))
+        )
+        assert [row["id"] for row in windowed.all()] == [1997]
+
+    def test_a_sorted_root_without_an_order_index_is_cut_too(self):
+        events, items = _events_and_items()
+        windowed = (
+            Query(events)
+            .order_by("item_id")
+            .limit(5)
+            .join(items, on=("item_id", "id"), prefix_right="i_")
+        )
+        explained = windowed.explain()
+        assert "limit(5)" in explained and "sort(events.item_id asc)" in explained
+        expected = sorted(events.scan(), key=lambda row: (row["item_id"], row["id"]))[:5]
+        assert [row["id"] for row in windowed.all()] == [row["id"] for row in expected]
+
+    def test_windowed_and_unwindowed_roots_never_share_a_cache_entry(self):
+        events, items = _events_and_items()
+
+        def newest(window=None):
+            root = Query(events).order_by("ts", descending=True)
+            if window is not None:
+                root.limit(window)
+            return root.join(items, on=("item_id", "id"), prefix_right="i_").limit(3)
+
+        assert "top-k" not in newest().explain()
+        assert "top-k(events.ts desc, k=6)" in newest(6).explain()
+        again = newest(6).explain()
+        assert "[plan-cache: hit]" in again and "k=6" in again
+        assert "[plan-cache: miss]" in newest(7).explain()
+
+    @pytest.mark.parametrize(
+        "root",
+        [
+            lambda events: Query(events).limit(5),
+            lambda events: Query(events).order_by("ts").offset(1),
+        ],
+        ids=["unordered-limit", "offset"],
+    )
+    def test_other_root_windows_are_refused(self, root):
+        events, items = _events_and_items(n_events=10, n_items=5)
+        with pytest.raises(QueryError, match="ordered left input"):
+            root(events).join(items, on=("item_id", "id"))
+
+
+# ----------------------------------------------------------------------
 # most-common-value statistics
 # ----------------------------------------------------------------------
 
@@ -625,16 +829,26 @@ _LAYOUTS = ("none", "hash", "sorted")
     filter_b=st.booleans(),
     ordered=st.booleans(),
     window=st.sampled_from(((None, 0), (3, 0), (4, 2), (0, 0))),
+    # an ordered root's own limit, served by TopK (a.key sorted-indexed)
+    # or by limit(n) over a Sort; filter_a is a WHERE on the root only
+    root_window=st.sampled_from((None, 0, 2, 5)),
+    a_sorted=st.booleans(),
+    filter_a=st.booleans(),
 )
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=160, deadline=None)
 def test_planned_three_way_joins_agree_with_brute_force(
     a_rows, b_rows, c_rows, b_layout, c_layout, how_b, how_c,
-    filter_b, ordered, window,
+    filter_b, ordered, window, root_window, a_sorted, filter_a,
 ):
     a, b, c = _triple(a_rows, b_rows, c_rows, b_layout=b_layout, c_layout=c_layout)
+    if a_sorted:
+        a.create_index("key", kind="sorted")
+    root_window = root_window if ordered else None
     root = Query(a)
     if ordered:
         root = root.order_by("key")
+    if root_window is not None:
+        root = root.limit(root_window)
     join = (
         root
         .join(b, on=("key", "akey"), prefix_right="b_", how=how_b)
@@ -642,10 +856,14 @@ def test_planned_three_way_joins_agree_with_brute_force(
     )
     if filter_b:
         join = join.where(Ne("b_tag", "q"))
+    if filter_a:
+        join = join.where(Ne("kind", "q"))
 
     a_scan = list(a.scan())
     if ordered:
         a_scan.sort(key=lambda row: (order_key(row["key"]), row["id"]))
+    if root_window is not None:
+        a_scan = a_scan[:root_window]
     step1 = _brute_binary(
         a_scan, list(b.scan()), left_key="key", right_key="akey", how=how_b,
         prefix_right="b_", right_columns=("id", "akey", "ckey", "tag"),
@@ -658,6 +876,8 @@ def test_planned_three_way_joins_agree_with_brute_force(
         # WHERE over combined rows; this store's Ne is plain !=, so a
         # padded NULL b_tag *passes* the filter
         expected = [row for row in expected if row["b_tag"] != "q"]
+    if filter_a:
+        expected = [row for row in expected if row["kind"] != "q"]
     got = join.all()
     assert _canonical(got) == _canonical(expected)
     limit, offset = window

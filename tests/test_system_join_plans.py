@@ -1,9 +1,10 @@
 """The join plans the system issues, pinned.
 
 Every join the system reads goes through the join-graph planner:
-Fig. 5's activity feed (``resources ⋈ posts ⟕ users``), Fig. 6's
-contributors and post list (``posts ⟕ users``) and Fig. 7's open
-projects (``projects ⋈ users``, live and on a snapshot view).  This
+Fig. 5's recent activity (a top-k ``posts ⋈ resources ⟕ users`` on a
+view), the full activity join (``resources ⋈ posts ⟕ users``),
+Fig. 6's contributors and post list (``posts ⟕ users``) and Fig. 7's
+open projects (``projects ⋈ users``, live and on a snapshot view).  This
 test drives a small campaign through those screens, records the plan
 of every ``JoinQuery`` the system compiles, and asserts each operator
 tree (estimates elided) and its ``[join-order: ...]`` line — the
@@ -75,6 +76,13 @@ hash-join(resources.post_tagger_id = users.id, how=left, build=right, est)
   full-scan(users, rows=26)
 [join-order: resources -> posts -> users (dp)]"""
 
+_RECENT_ACTIVITY = """\
+index-nl-join(posts.post_tagger_id = users.id via pk, how=left, est)
+  index-nl-join(posts.resource_id = resources.id via pk, how=inner, est, right-filter=Eq(column='project_id', value=1))
+    top-k(posts.ts desc, k=3)
+      sorted-index-order(posts.ts desc)
+[join-order: posts -> resources -> users (dp)]"""
+
 _CONTRIBUTORS = """\
 index-nl-join(posts.tagger_id = users.id via pk, how=left, est)
   hash-index(posts.resource_id=1, est)
@@ -98,7 +106,7 @@ index-nl-join(projects.provider_id = users.id via pk, how=inner, est)
     [
         pytest.param(
             lambda system, project, resource: project_details_screen(system, project),
-            [_ACTIVITY],
+            [_RECENT_ACTIVITY],
             id="fig5-project-activity",
         ),
         pytest.param(
